@@ -39,6 +39,7 @@ __all__ = ["ENTRY_ROOT_PATTERNS", "DeterminismTaint", "entry_roots", "sanitized_
 ENTRY_ROOT_PATTERNS: Tuple[str, ...] = (
     "repro.simulator.engine.simulate",
     "repro.simulator.batch.simulate_batch",
+    "repro.simulator.batch.simulate_sweep",
     "repro.faults.engine.simulate_faulty",
     "repro.store.fingerprint.*",
     "repro.obs.export.*",
@@ -121,7 +122,7 @@ class DeterminismTaint(AnalyzeCheck):
     description = (
         "no wall-clock, OS-entropy, unordered-filesystem or raw-set-iteration "
         "source may be reachable from simulate()/simulate_batch()/"
-        "simulate_faulty() or the fingerprint/exporter paths (sanitized: "
+        "simulate_sweep()/simulate_faulty() or the fingerprint/exporter paths (sanitized: "
         "repro.obs.profile, repro.utils.rng, repro.serve, CLI modules)"
     )
 

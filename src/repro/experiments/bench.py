@@ -509,8 +509,9 @@ def _derive_metrics(entries: Dict[str, Any], cpu_count: Optional[int]) -> Dict[s
 
     * ``replicate_sweep_speedup`` — serial over 4-worker median;
     * ``parallel_speedup_ok`` — the warn-only assertion that process
-      parallelism pays (speedup ≥ 1.0) whenever the machine actually has
-      more than one CPU;
+      parallelism pays (speedup ≥ 1.0); ``None`` ("unmeasured") on a
+      single-CPU machine, where parallelism cannot win and the ratio says
+      nothing;
     * ``replicate_sweep_vectorized_speedup`` — serial over batch-engine
       median, the headline number of the vectorized engine;
     * ``twophase_beta_sweep_speedup`` — the same ratio for the scaling
@@ -530,7 +531,7 @@ def _derive_metrics(entries: Dict[str, Any], cpu_count: Optional[int]) -> Dict[s
     if serial is not None and par is not None and par > 0:
         speedup = serial / par
         derived["replicate_sweep_speedup"] = speedup
-        derived["parallel_speedup_ok"] = bool(speedup >= 1.0 or (cpu_count or 1) <= 1)
+        derived["parallel_speedup_ok"] = None if (cpu_count or 1) <= 1 else bool(speedup >= 1.0)
     if serial is not None and vec is not None and vec > 0:
         derived["replicate_sweep_vectorized_speedup"] = serial / vec
     curve: List[Dict[str, Any]] = []
@@ -755,6 +756,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     derived = record.get("derived", {})
     if "replicate_sweep_speedup" in derived:
         print(f"  replicate sweep speedup (4 workers): {derived['replicate_sweep_speedup']:.2f}x")
+        print(f"  parallel speedup gate: {_gate_word(derived)}")
     if "replicate_sweep_vectorized_speedup" in derived:
         print(
             f"  replicate sweep speedup (vectorized): "
@@ -773,6 +775,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     print(f"wrote {path}")
     return 0
+
+
+def _gate_word(derived: Dict[str, Any]) -> str:
+    """``parallel_speedup_ok`` as printed: ``ok``, ``lost`` or ``unmeasured``."""
+    gate = derived.get("parallel_speedup_ok")
+    return "unmeasured" if gate is None else ("ok" if gate else "lost")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -796,6 +804,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             return "-" if value is None else f"{value:.2f}x"
 
         print(f"vectorized-vs-serial speedup: old {fmt(old_vec)}, new {fmt(new_vec)}")
+    gates = [
+        _gate_word(derived) if "parallel_speedup_ok" in derived else "-"
+        for derived in (old.get("derived", {}), new.get("derived", {}))
+    ]
+    if gates != ["-", "-"]:
+        print(f"parallel speedup gate: old {gates[0]}, new {gates[1]}")
     regressions = [r for r in rows if r["status"] == "regression"]
     if regressions:
         names = ", ".join(r["name"] for r in regressions)

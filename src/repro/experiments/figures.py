@@ -41,7 +41,7 @@ from repro.experiments.parallel import (
     StrategySpec,
     UniformPlatformSpec,
 )
-from repro.experiments.runner import average_normalized_comm, mean_analysis_ratio
+from repro.experiments.runner import average_normalized_comm_group, mean_analysis_ratio
 from repro.platform.platform import Platform
 from repro.platform.speeds import SCENARIO_NAMES, uniform_speeds
 from repro.store.cache import ResultStore
@@ -142,16 +142,16 @@ def _sweep_vs_p(
         # factories (rather than closures) are what make the cells
         # cacheable and picklable on spawn-only platforms.
         factory = UniformPlatformSpec(p)
-        for name in strategy_names:
-            summary = average_normalized_comm(
-                StrategySpec(name, n),
-                factory,
-                n,
-                reps,
-                seed=seed,
-                workers=workers,
-                cache=cache,
-            )
+        summaries = average_normalized_comm_group(
+            [StrategySpec(name, n) for name in strategy_names],
+            factory,
+            n,
+            reps,
+            seed=seed,
+            workers=workers,
+            cache=cache,
+        )
+        for name, summary in zip(strategy_names, summaries):
             fig[name].add(p, summary.mean, summary.std)
         if include_analysis:
             summary = mean_analysis_ratio(kernel, factory, n, reps, seed=seed)
@@ -293,23 +293,21 @@ def fig02(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
             "engine": _engine_meta(("DynamicOuter2Phases",) + OUTER_BASELINES, n),
         },
     )
+    summaries = average_normalized_comm_group(
+        [StrategySpec("DynamicOuter2Phases", n, phase1_fraction=float(frac)) for frac in fractions]
+        + [StrategySpec(name, n) for name in OUTER_BASELINES],
+        factory,
+        n,
+        reps,
+        seed=seed,
+        workers=workers,
+        cache=cache,
+    )
     sweep = fig.new_series("DynamicOuter2Phases")
-    for frac in fractions:
-        summary = average_normalized_comm(
-            StrategySpec("DynamicOuter2Phases", n, phase1_fraction=float(frac)),
-            factory,
-            n,
-            reps,
-            seed=seed,
-            workers=workers,
-            cache=cache,
-        )
+    for frac, summary in zip(fractions, summaries):
         sweep.add(100.0 * frac, summary.mean, summary.std)
 
-    for name in OUTER_BASELINES:
-        summary = average_normalized_comm(
-            StrategySpec(name, n), factory, n, reps, seed=seed, workers=workers, cache=cache
-        )
+    for name, summary in zip(OUTER_BASELINES, summaries[len(fractions):]):
         flat = fig.new_series(name)
         for frac in (fractions[0], fractions[-1]):
             flat.add(100.0 * frac, summary.mean, summary.std)
@@ -357,24 +355,22 @@ def _beta_sweep(
             "engine": _engine_meta((two_phase, dynamic), n),
         },
     )
+    *sweep, dyn = average_normalized_comm_group(
+        [StrategySpec(two_phase, n, beta=float(beta)) for beta in betas]
+        + [StrategySpec(dynamic, n)],
+        factory,
+        n,
+        reps,
+        seed=seed,
+        workers=workers,
+        cache=cache,
+    )
     sim_series = fig.new_series(two_phase)
     ana_series = fig.new_series("Analysis")
-    for beta in betas:
-        summary = average_normalized_comm(
-            StrategySpec(two_phase, n, beta=float(beta)),
-            factory,
-            n,
-            reps,
-            seed=seed,
-            workers=workers,
-            cache=cache,
-        )
+    for beta, summary in zip(betas, sweep):
         sim_series.add(beta, summary.mean, summary.std)
         ana_series.add(beta, ratio(float(beta), rel, n))
 
-    dyn = average_normalized_comm(
-        StrategySpec(dynamic, n), factory, n, reps, seed=seed, workers=workers, cache=cache
-    )
     flat = fig.new_series(dynamic)
     for beta in (betas[0], betas[-1]):
         flat.add(beta, dyn.mean, dyn.std)
@@ -465,10 +461,11 @@ def fig07(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
 
     for h in hs:
         factory = HeterogeneityPlatformSpec(p, float(h))
-        for name in names:
-            summary = average_normalized_comm(
-                StrategySpec(name, n), factory, n, reps, seed=seed, workers=workers, cache=cache
-            )
+        summaries = average_normalized_comm_group(
+            [StrategySpec(name, n) for name in names],
+            factory, n, reps, seed=seed, workers=workers, cache=cache,
+        )
+        for name, summary in zip(names, summaries):
             fig[name].add(h, summary.mean, summary.std)
         summary = mean_analysis_ratio("outer", factory, n, reps, seed=seed)
         fig["Analysis"].add(h, summary.mean, summary.std)
@@ -504,10 +501,11 @@ def fig08(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
 
     for idx, scenario in enumerate(scenarios):
         factory = ScenarioPlatformSpec(scenario, p)
-        for name in names:
-            summary = average_normalized_comm(
-                StrategySpec(name, n), factory, n, reps, seed=seed, workers=workers, cache=cache
-            )
+        summaries = average_normalized_comm_group(
+            [StrategySpec(name, n) for name in names],
+            factory, n, reps, seed=seed, workers=workers, cache=cache,
+        )
+        for name, summary in zip(names, summaries):
             fig[name].add(idx, summary.mean, summary.std)
         summary = mean_analysis_ratio("outer", factory, n, reps, seed=seed)
         fig["Analysis"].add(idx, summary.mean, summary.std)

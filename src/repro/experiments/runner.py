@@ -22,8 +22,13 @@ from repro.core.analysis.outer import optimal_outer_beta, outer_total_ratio
 from repro.core.strategies.base import Strategy
 from repro.obs.sink import MetricsSink, RecordingSink
 from repro.platform.platform import Platform
-from repro.platform.speeds import SpeedModel
-from repro.simulator.batch import fallback_reason, simulate_batch
+from repro.platform.speeds import SpeedModel, StaticSpeedModel
+from repro.simulator.batch import (
+    fallback_reason,
+    simulate_batch,
+    simulate_sweep,
+    sweep_group_key,
+)
 from repro.simulator.engine import simulate
 from repro.store.cache import ResultStore
 from repro.store.cells import load_cell, replicate_cell_key, save_cell
@@ -33,6 +38,7 @@ from repro.utils.stats import RunningStats, Summary
 
 __all__ = [
     "average_normalized_comm",
+    "average_normalized_comm_group",
     "collect_planned_cells",
     "mean_analysis_ratio",
     "resolve_vectorize",
@@ -342,6 +348,154 @@ def average_normalized_comm(
     if cache is not None and key is not None:
         save_cell(cache, key, summary, snapshots)
     return summary
+
+
+def average_normalized_comm_group(
+    strategy_factories: Sequence[StrategyFactory],
+    platform_factory: PlatformFactory,
+    n: int,
+    reps: int,
+    *,
+    seed: SeedLike = 0,
+    workers: int = 1,
+    sink: Optional[MetricsSink] = None,
+    cache: Optional[ResultStore] = None,
+    vectorize: Union[bool, str] = "auto",
+) -> List[Summary]:
+    """One figure point: ``[average_normalized_comm(f, ...) for f in strategy_factories]``.
+
+    Returns exactly what that loop returns, with the same cache keys and
+    one store probe per cell, but computes the missing Dynamic-family
+    cells — the cells whose strategies share a
+    :func:`repro.simulator.batch.sweep_group_key` (a Dynamic* cell and
+    the Dynamic*2Phases cells of the same kernel and ``n``) — in one
+    phase-1 lockstep (:func:`repro.simulator.batch.simulate_sweep`).
+    Every computed cell is stored under its own key once the group
+    finishes.  Cells outside a group go through
+    :func:`average_normalized_comm` as they are, in order.
+
+    The whole point falls back to that per-cell loop under
+    :func:`collect_planned_cells`, with ``workers != 1``,
+    ``vectorize=False``, a *sink*, or a non-integer seed (a generator or
+    seed sequence advances between cells); a group whose platform factory
+    yields a non-static speed model computes its cells one by one.  A
+    cell repeating an earlier cell's key is probed after the group is
+    stored, so even the store's hit and put counts match the loop.
+    """
+    if reps <= 0:
+        raise ValueError(f"reps must be positive, got {reps}")
+
+    def one(factory: StrategyFactory) -> Summary:
+        return average_normalized_comm(
+            factory,
+            platform_factory,
+            n,
+            reps,
+            seed=seed,
+            workers=workers,
+            sink=sink,
+            cache=cache,
+            vectorize=vectorize,
+        )
+
+    integer_seed = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if (
+        _PLAN_BUCKET.get() is not None
+        or workers != 1
+        or vectorize not in (True, "auto")
+        or sink is not None
+        or not integer_seed
+    ):
+        return [one(factory) for factory in strategy_factories]
+    by_key: Dict[Any, List[int]] = {}
+    for idx, factory in enumerate(strategy_factories):
+        group = sweep_group_key(factory())
+        if group is not None:
+            by_key.setdefault(group, []).append(idx)
+    groups = [members for members in by_key.values() if len(members) > 1]
+    grouped = {idx for members in groups for idx in members}
+    summaries: List[Optional[Summary]] = []
+    keys: Dict[int, Dict[str, Any]] = {}
+    repeats: Dict[int, int] = {}  # member -> earlier member with its key
+    for idx, factory in enumerate(strategy_factories):
+        if idx not in grouped:
+            summaries.append(one(factory))
+            continue
+        summaries.append(None)
+        if cache is None:
+            continue
+        key = replicate_cell_key(
+            strategy_factory=factory,
+            platform_factory=platform_factory,
+            n=n,
+            reps=reps,
+            seed=seed,
+            metrics=False,
+        )
+        if key is None:
+            continue
+        origin = next((j for j, earlier in keys.items() if earlier == key), None)
+        keys[idx] = key
+        if origin is not None:
+            repeats[idx] = origin
+            continue
+        summaries[idx] = load_cell(cache, key)
+    for members in groups:
+        missing = [i for i in members if summaries[i] is None and i not in repeats]
+        if not missing:
+            continue
+        factories = [strategy_factories[i] for i in missing]
+        computed = _sweep_summaries(factories, platform_factory, n, reps, seed) or [
+            average_normalized_comm(
+                factory, platform_factory, n, reps, seed=seed, vectorize=vectorize
+            )
+            for factory in factories
+        ]
+        for i, summary in zip(missing, computed):
+            summaries[i] = summary
+            if i in keys and cache is not None:
+                save_cell(cache, keys[i], summary, None)
+    for i, origin in repeats.items():
+        assert cache is not None
+        summaries[i] = load_cell(cache, keys[i]) or summaries[origin]
+    done = [summary for summary in summaries if summary is not None]
+    assert len(done) == len(summaries)
+    return done
+
+
+def _sweep_summaries(
+    strategy_factories: Sequence[StrategyFactory],
+    platform_factory: PlatformFactory,
+    n: int,
+    reps: int,
+    seed: SeedLike,
+) -> Optional[List[Summary]]:
+    """Summaries of one group's cells from a shared phase-1 lockstep.
+
+    Each replicate stream draws its platform first, then simulates — the
+    order :func:`_batch_outcomes` uses — so every summary is bit-identical
+    to the member's own cell.  ``None`` when a draw carries a non-static
+    speed model, which the sweep cannot share between members.
+    """
+    generators = spawn_rngs(seed, reps)
+    platforms: List[Platform] = []
+    models: List[Optional[SpeedModel]] = []
+    for generator in generators:
+        platform, model = _unpack(platform_factory(generator))
+        if model is not None and type(model) is not StaticSpeedModel:
+            return None
+        platforms.append(platform)
+        models.append(model)
+    results = simulate_sweep(strategy_factories, platforms, rngs=generators, speed_models=models)
+    kernel = strategy_factories[0]().kernel
+    bounds = [lower_bound(kernel, platform.relative_speeds, n) for platform in platforms]
+    summaries: List[Summary] = []
+    for member in results:
+        stats = RunningStats()
+        for result, bound in zip(member, bounds):
+            stats.add(result.normalized(bound))
+        summaries.append(stats.summary())
+    return summaries
 
 
 def mean_analysis_ratio(

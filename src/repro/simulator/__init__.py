@@ -18,7 +18,7 @@ paper assumes communication is fully overlapped with computation (blocks are
 uploaded slightly in advance), so only the volume matters.
 """
 
-from repro.simulator.batch import has_vector_kernel, simulate_batch
+from repro.simulator.batch import has_vector_kernel, simulate_batch, simulate_sweep
 from repro.simulator.engine import LivelockError, simulate
 from repro.simulator.events import EventQueue
 from repro.simulator.gantt import ascii_gantt, utilization, worker_intervals
@@ -34,6 +34,7 @@ from repro.simulator.trace import AssignmentRecord, FaultRecord, Trace
 __all__ = [
     "simulate",
     "simulate_batch",
+    "simulate_sweep",
     "has_vector_kernel",
     "LivelockError",
     "EventQueue",

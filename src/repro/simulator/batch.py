@@ -26,6 +26,13 @@ per-replicate working-set estimate and :func:`simulate_batch` runs
 results — replicates never interact, so slicing the batch is exact, not
 approximate.
 
+:func:`simulate_sweep` runs several Dynamic-family cells over the same
+replicates in one phase-1 lockstep: a DynamicOuter (DynamicMatrix) cell
+and any number of DynamicOuter2Phases (DynamicMatrix2Phases) cells share
+phase 1 by construction, so the loop runs once and every two-phase member
+forks its closed-form phase 2 at its own threshold.  Each member's
+results equal its own :func:`simulate_batch` bit for bit.
+
 The scalar engine stays the oracle: nothing here changes simulation
 semantics, RNG consumption or float operand order, which is what keeps
 store cache entries, pinned fingerprints and recorded experiments valid
@@ -34,7 +41,7 @@ across the two code paths.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Type, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Type, TypeVar, Union
 
 import numpy as np
 
@@ -53,7 +60,11 @@ __all__ = [
     "fallback_reason",
     "has_vector_kernel",
     "simulate_batch",
+    "simulate_sweep",
+    "sweep_group_key",
 ]
+
+_T = TypeVar("_T")
 
 #: Default ceiling on kernel working-set bytes per batch; replicate
 #: chunks are sized so paper-scale (R, n, n, n) bitmaps stay in RAM.
@@ -119,13 +130,56 @@ def fallback_reason(
     return None
 
 
-def _supports_fast_path(
-    prototype: Strategy,
+def sweep_group_key(strategy: Strategy) -> Optional[Tuple[str, int]]:
+    """The shared phase-1 group *strategy* can join in :func:`simulate_sweep`.
+
+    ``(kernel, n)`` for exact-type DynamicOuter, DynamicOuter2Phases,
+    DynamicMatrix and DynamicMatrix2Phases instances (without per-task id
+    collection); strategies with equal keys can share one sweep.  ``None``
+    for everything else, which only runs cell by cell.
+    """
+    kernel = kernel_for(strategy)
+    if kernel is None or fallback_reason(strategy) is not None:
+        return None
+    return kernel.group_key(strategy)
+
+
+def _per_replicate(what: str, values: Optional[Sequence[_T]], R: int) -> Sequence[Optional[_T]]:
+    """One entry per replicate: *values*, or ``None`` for every replicate."""
+    if values is None:
+        return [None] * R
+    if len(values) != R:
+        raise ValueError(f"got {len(values)} {what} for {R} platforms")
+    return values
+
+
+def _contexts(
     platforms: Sequence[Platform],
+    generators: Sequence[np.random.Generator],
     models: Sequence[Optional[SpeedModel]],
-) -> bool:
-    """Whether the whole batch can run on the vectorized kernel."""
-    return fallback_reason(prototype, platforms, models) is None
+    want_events: bool,
+    per_rep: int,
+    memory_budget_bytes: Optional[int],
+) -> Iterator[BatchContext]:
+    """Kernel inputs for each replicate chunk that fits the memory budget."""
+    # Observable-state parity with the scalar engine: every model reset
+    # runs up front (resets draw nothing, so chunk boundaries cannot
+    # reorder stream consumption).
+    for platform, generator, model in zip(platforms, generators, models):
+        if model is not None:
+            model.reset(platform, generator)
+    speeds = np.stack([np.asarray(pl.speeds, dtype=np.float64) for pl in platforms])
+    budget = DEFAULT_MEMORY_BUDGET_BYTES if memory_budget_bytes is None else memory_budget_bytes
+    chunk = max(1, budget // max(1, per_rep))
+    for lo in range(0, len(platforms), chunk):
+        hi = lo + chunk
+        yield BatchContext(
+            platforms=platforms[lo:hi],
+            speeds=speeds[lo:hi],
+            generators=generators[lo:hi],
+            models=models[lo:hi],
+            want_events=want_events,
+        )
 
 
 def _replay_run(
@@ -233,20 +287,8 @@ def simulate_batch(
     R = len(platforms)
     if len(rngs) != R:
         raise ValueError(f"got {len(rngs)} rngs for {R} platforms")
-    models: Sequence[Optional[SpeedModel]]
-    if speed_models is None:
-        models = [None] * R
-    elif len(speed_models) != R:
-        raise ValueError(f"got {len(speed_models)} speed models for {R} platforms")
-    else:
-        models = speed_models
-    sink_list: Sequence[Optional[MetricsSink]]
-    if sinks is None:
-        sink_list = [None] * R
-    elif len(sinks) != R:
-        raise ValueError(f"got {len(sinks)} sinks for {R} platforms")
-    else:
-        sink_list = sinks
+    models = _per_replicate("speed models", speed_models, R)
+    sink_list = _per_replicate("sinks", sinks, R)
     if R == 0:
         return []
     if memory_budget_bytes is not None and memory_budget_bytes <= 0:
@@ -254,7 +296,7 @@ def simulate_batch(
 
     generators = [as_generator(rng) for rng in rngs]
     prototype = strategy_factory()
-    if not _supports_fast_path(prototype, platforms, models):
+    if fallback_reason(prototype, platforms, models) is not None:
         return [
             simulate(
                 strategy_factory(),
@@ -267,32 +309,84 @@ def simulate_batch(
             for r in range(R)
         ]
 
-    # Observable-state parity with the scalar engine: every model reset
-    # runs up front (resets draw nothing, so chunk boundaries cannot
-    # reorder stream consumption).
-    for r in range(R):
-        model = models[r]
-        if model is not None:
-            model.reset(platforms[r], generators[r])
-    speeds = np.stack([np.asarray(pl.speeds, dtype=np.float64) for pl in platforms])
-    want_events = collect_trace or any(s is not None for s in sink_list)
     kernel = kernel_for(prototype)
-    assert kernel is not None  # _supports_fast_path checked
-    budget = DEFAULT_MEMORY_BUDGET_BYTES if memory_budget_bytes is None else memory_budget_bytes
-    per_rep = max(1, int(kernel.bytes_per_replicate(prototype, platforms[0].p)))
-    chunk = max(1, budget // per_rep)
+    assert kernel is not None  # fallback_reason checked
+    want_events = collect_trace or any(s is not None for s in sink_list)
+    per_rep = int(kernel.bytes_per_replicate(prototype, platforms[0].p))
     runs: List[KernelRun] = []
-    for lo in range(0, R, chunk):
-        hi = min(R, lo + chunk)
-        ctx = BatchContext(
-            platforms=platforms[lo:hi],
-            speeds=speeds[lo:hi],
-            generators=generators[lo:hi],
-            models=models[lo:hi],
-            want_events=want_events,
-        )
+    for ctx in _contexts(platforms, generators, models, want_events, per_rep, memory_budget_bytes):
         runs.extend(kernel.run(prototype, ctx))
     return [
         _replay_run(runs[r], prototype, platforms[r], collect_trace, sink_list[r])
         for r in range(R)
+    ]
+
+
+def simulate_sweep(
+    strategy_factories: Sequence[Callable[[], Strategy]],
+    platforms: Sequence[Platform],
+    *,
+    rngs: Sequence[SeedLike],
+    speed_models: Optional[Sequence[Optional[SpeedModel]]] = None,
+    memory_budget_bytes: Optional[int] = None,
+) -> List[List[SimulationResult]]:
+    """Run several Dynamic-family cells over the same R replicates at once.
+
+    Every factory must build a strategy of one :func:`sweep_group_key`
+    (same kernel and ``n``): a Dynamic* cell and any number of
+    Dynamic*2Phases cells, whatever sets their thresholds.  Phase 1 runs
+    once in lockstep; each two-phase member forks its closed-form phase 2
+    at its own threshold crossing, on a copy of that replicate's state and
+    generator.  ``results[b][r]`` equals
+    ``simulate_batch(strategy_factories[b], platforms, rngs=...)[r]`` bit
+    for bit.  The generators in *rngs* end where the longest member's
+    phase 1 stopped (with a single member, exactly as
+    :func:`simulate_batch` leaves them).
+
+    Static speeds are a precondition: *speed_models* entries must be
+    ``None`` or :class:`~repro.platform.speeds.StaticSpeedModel`, since a
+    dynamic model's state evolves per run and cannot be shared between
+    members — a :class:`ValueError` says so, as it does for members that
+    do not share a group key or cannot take the vectorized path.  The
+    batch is sliced along R under *memory_budget_bytes* exactly as in
+    :func:`simulate_batch`.
+    """
+    R = len(platforms)
+    if len(rngs) != R:
+        raise ValueError(f"got {len(rngs)} rngs for {R} platforms")
+    models = _per_replicate("speed models", speed_models, R)
+    for model in models:
+        if model is not None and type(model) is not StaticSpeedModel:
+            raise ValueError(
+                f"simulate_sweep needs static speeds, got {type(model).__name__}; "
+                "run dynamic speed models cell by cell with simulate_batch"
+            )
+    if memory_budget_bytes is not None and memory_budget_bytes <= 0:
+        raise ValueError(f"memory_budget_bytes must be positive, got {memory_budget_bytes}")
+    prototypes = [factory() for factory in strategy_factories]
+    if not prototypes:
+        return []
+    keys = {sweep_group_key(prototype) for prototype in prototypes}
+    if None in keys or len(keys) != 1:
+        names = ", ".join(prototype.name for prototype in prototypes)
+        raise ValueError(
+            f"simulate_sweep members must share one Dynamic-family kernel and n; got {names}"
+        )
+    if R == 0:
+        return [[] for _ in prototypes]
+    if fallback_reason(prototypes[0], platforms) is not None:
+        raise ValueError("simulate_sweep needs one worker count across replicates")
+
+    generators = [as_generator(rng) for rng in rngs]
+    kernel = kernel_for(prototypes[0])
+    assert kernel is not None  # sweep_group_key checked
+    p = platforms[0].p
+    per_rep = max(int(kernel.bytes_per_replicate(prototype, p)) for prototype in prototypes)
+    runs: List[List[KernelRun]] = [[] for _ in prototypes]
+    for ctx in _contexts(platforms, generators, models, False, per_rep, memory_budget_bytes):
+        for member, member_runs in zip(runs, kernel.run_group(prototypes, ctx)):
+            member.extend(member_runs)
+    return [
+        [_replay_run(run, prototype, platforms[r], False, None) for r, run in enumerate(member)]
+        for prototype, member in zip(prototypes, runs)
     ]

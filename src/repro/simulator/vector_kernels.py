@@ -7,7 +7,7 @@ would compute — same RNG consumption per replicate, same IEEE-754
 operand order for every duration and timestamp, same heap tie-breaking —
 but over numpy arrays instead of one Python event at a time.
 
-Three kernel families cover all ten registry strategies:
+Two kernel families cover all ten registry strategies:
 
 * :class:`_TaskByTaskKernel` (RandomOuter / SortedOuter / RandomMatrix /
   SortedMatrix / MapReduceOuter / MapReduceMatrix) — these strategies
@@ -22,22 +22,20 @@ Three kernel families cover all ten registry strategies:
   The MapReduce variants are the degenerate cached-nothing case: a
   constant 2 (outer) or 3 (matmul) blocks ship with every task.
 
-* the lockstep kernels (:class:`_OuterDynamicKernel` /
-  :class:`_MatrixDynamicKernel`) — the Dynamic* strategies' decisions
-  depend on evolving shared state, so replicates advance event by event,
-  but *together*: worker-available times are an (R, p) float array,
-  per-worker knowledge lives in (R, p, n) index buffers, the processed
-  task bitmaps are (R, n, n[, n]) booleans, and each step's cross/shell
-  marking is one padded gather/scatter across every active replicate.
-
-* the two-phase kernels (:class:`_TwoPhaseKernel`, covering
-  DynamicOuter2Phases / DynamicMatrix2Phases) — phase 1 *is* the
-  lockstep Dynamic* loop (the state machinery is shared); each replicate
-  independently crosses its ``e^{-beta}``-remaining threshold, freezing
-  its knowledge into per-worker boolean block caches and a swap-remove
-  sampler replay, after which its events follow the single-task phase-2
-  path.  Replicates in different phases advance through the same (R, p)
-  event queue side by side.
+* the lockstep kernel (:class:`_LockstepKernel`, covering DynamicOuter /
+  DynamicMatrix / DynamicOuter2Phases / DynamicMatrix2Phases) — the
+  Dynamic* strategies' decisions depend on evolving shared state, so
+  replicates advance event by event, but *together*: worker-available
+  times are an (R, p) float array, per-worker knowledge lives in
+  (R, p, n) index buffers, the processed task bitmaps are (R, n, n[, n])
+  booleans, and each step's cross/shell marking is one padded
+  gather/scatter across every active replicate.  A two-phase strategy's
+  phase 1 *is* that loop: each replicate crosses its own
+  ``e^{-beta}``-remaining threshold and forks its phase 2 off the loop,
+  closed-form under static speeds.  One loop can therefore serve a whole
+  *group* of Dynamic-family cells that share their replicates
+  (:meth:`_LockstepKernel.run_group`): phase 1 runs once and every
+  two-phase member forks at its own threshold.
 
 Dynamic speed models (``dyn.*``) no longer force the scalar engine:
 strategy-side state stays vectorized across the replicate axis while
@@ -56,6 +54,7 @@ budget, keeping paper-scale ``(R, n, n, n)`` bitmaps in RAM.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
@@ -136,6 +135,24 @@ class VectorKernel:
         engine would consume it.
         """
         raise NotImplementedError
+
+    def run_group(
+        self, prototypes: Sequence[Strategy], ctx: BatchContext
+    ) -> List[List[KernelRun]]:
+        """Simulate several cells over the same replicates, one list each.
+
+        Only kernels whose :meth:`group_key` is not ``None`` implement it;
+        members must share that key.
+        """
+        raise NotImplementedError
+
+    def group_key(self, prototype: Strategy) -> Optional[Tuple[str, int]]:
+        """Key of the shared lockstep *prototype* can join, or ``None``.
+
+        Prototypes with equal keys can run together through
+        :meth:`run_group`; ``None`` means the kernel runs single cells.
+        """
+        return None
 
     def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
         """Rough working-set bytes one replicate adds to a batch.
@@ -555,7 +572,7 @@ class _TaskByTaskKernel(VectorKernel):
 
 
 # ---------------------------------------------------------------------------
-# Lockstep kernels (Dynamic* strategies)
+# Lockstep machinery (Dynamic* strategies)
 # ---------------------------------------------------------------------------
 
 _SEQ_HUGE = np.iinfo(np.int64).max
@@ -684,7 +701,8 @@ class _LockstepAccumulator:
     Owns the event-queue mirror ((R, p) times + insertion sequences), the
     per-worker accumulators and the livelock guard, and finalizes the
     per-replicate :class:`KernelRun` list — everything that is identical
-    between the outer, matrix and two-phase variants.
+    between the outer and matrix lockstep loops and the task-by-task
+    kernel's dynamic-speed path.
     """
 
     def __init__(self, strategy_name: str, R: int, p: int, n: int, want_events: bool) -> None:
@@ -745,6 +763,24 @@ class _LockstepAccumulator:
                     (now_l[g], w_l[g], b_l[g], t_l[g], d_l[g], 1 if ph_l is None else ph_l[g])
                 )
 
+    def fork(
+        self, state: "_OuterDynState | _MatrixDynState", speeds: np.ndarray, r: int
+    ) -> "_Fork":
+        """Replicate *r*'s lockstep state, as a phase-2 close-out reads it."""
+        return _Fork(
+            speeds[r],
+            self.times[r],
+            self.seqs[r],
+            state.processed[r],
+            state.order[:, r],
+            state.cnt[:, r],
+            self.blocks_acc[r],
+            self.tasks_acc[r],
+            float(self.makespan[r]),
+            int(self.n_events[r]),
+            None if self.events is None else self.events[r],
+        )
+
     def finish(self) -> List[KernelRun]:
         runs: List[KernelRun] = []
         for r in range(self.times.shape[0]):
@@ -766,8 +802,8 @@ class _OuterDynState:
     One :meth:`step` performs the scalar ``_dynamic_assign`` for a group
     of active replicates (two uniform dimension draws, cross marking over
     the previous index sets, complete-knowledge absorption) and keeps
-    ``remaining`` in sync.  Shared by the DynamicOuter kernel and phase 1
-    of DynamicOuter2Phases.
+    ``remaining`` in sync: DynamicOuter, and phase 1 of
+    DynamicOuter2Phases.
     """
 
     def __init__(self, R: int, p: int, n: int) -> None:
@@ -821,31 +857,6 @@ class _OuterDynState:
         return blocks, tasks
 
 
-class _OuterDynamicKernel(VectorKernel):
-    """Lockstep kernel for DynamicOuter (Algorithm 1), R replicates at once."""
-
-    strategy_name = "DynamicOuter"
-
-    def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
-        n = prototype.n
-        return n * n + 32 * p * n + 64 * p
-
-    def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
-        n = prototype.n
-        R, p = int(ctx.speeds.shape[0]), int(ctx.speeds.shape[1])
-        replay = _replay_models(ctx.models)
-        acc = _LockstepAccumulator(self.strategy_name, R, p, n, ctx.want_events)
-        state = _OuterDynState(R, p, n)
-        act = np.arange(R, dtype=np.int64)
-        while act.size:
-            now, wsel = acc.pop(act)
-            blocks, tasks = state.step(ctx.generators, act, wsel)
-            durations = _event_durations(ctx.speeds, replay, act, wsel, tasks)
-            acc.commit(act, wsel, now, durations, blocks, tasks)
-            act = act[state.remaining[act] > 0]
-        return acc.finish()
-
-
 def _mark_arm(
     processed: np.ndarray,
     arm_order: np.ndarray,
@@ -892,8 +903,8 @@ class _MatrixDynState:
     """Vectorized DynamicMatrix phase-1 state: I/J/K knowledge + cube bitmap.
 
     As :class:`_OuterDynState`, but with three dimensions, rectangle-growth
-    block accounting and shell marking.  Shared by the DynamicMatrix kernel
-    and phase 1 of DynamicMatrix2Phases.
+    block accounting and shell marking: DynamicMatrix, and phase 1 of
+    DynamicMatrix2Phases.
     """
 
     def __init__(self, R: int, p: int, n: int) -> None:
@@ -936,51 +947,21 @@ class _MatrixDynState:
         grown_k = prev[2] + grew[2]
         tasks += _mark_slab(
             self.processed, act, need[0] & (grown_j > 0) & (grown_k > 0),
-            _fixed_plane(vals[0], 0),
+            (vals[0], 0),
             (self.order[1], grown_j), (self.order[2], grown_k), wsel,
         )
         tasks += _mark_slab(
             self.processed, act, need[1] & (prev[0] > 0) & (grown_k > 0),
-            _fixed_plane(vals[1], 1),
+            (vals[1], 1),
             (self.order[0], prev[0]), (self.order[2], grown_k), wsel,
         )
         tasks += _mark_slab(
             self.processed, act, need[2] & (prev[0] > 0) & (prev[1] > 0),
-            _fixed_plane(vals[2], 2),
+            (vals[2], 2),
             (self.order[0], prev[0]), (self.order[1], prev[1]), wsel,
         )
         self.remaining[act] -= tasks
         return blocks, tasks
-
-
-class _MatrixDynamicKernel(VectorKernel):
-    """Lockstep kernel for DynamicMatrix (Algorithm 3), R replicates at once."""
-
-    strategy_name = "DynamicMatrix"
-
-    def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
-        n = prototype.n
-        return n**3 + 48 * p * n + 64 * p
-
-    def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
-        n = prototype.n
-        R, p = int(ctx.speeds.shape[0]), int(ctx.speeds.shape[1])
-        replay = _replay_models(ctx.models)
-        acc = _LockstepAccumulator(self.strategy_name, R, p, n, ctx.want_events)
-        state = _MatrixDynState(R, p, n)
-        act = np.arange(R, dtype=np.int64)
-        while act.size:
-            now, wsel = acc.pop(act)
-            blocks, tasks = state.step(ctx.generators, act, wsel)
-            durations = _event_durations(ctx.speeds, replay, act, wsel, tasks)
-            acc.commit(act, wsel, now, durations, blocks, tasks)
-            act = act[state.remaining[act] > 0]
-        return acc.finish()
-
-
-def _fixed_plane(vals: np.ndarray, dim: int) -> Tuple[np.ndarray, int]:
-    """The (values, cube axis) of a slab's fixed index."""
-    return vals, dim
 
 
 def _mark_slab(
@@ -1036,58 +1017,115 @@ def _mark_slab(
 
 
 # ---------------------------------------------------------------------------
-# Two-phase kernels (DynamicOuter2Phases / DynamicMatrix2Phases)
+# The lockstep loop: Dynamic* and Dynamic*2Phases cells, alone or grouped
 # ---------------------------------------------------------------------------
 
 
-class _TwoPhaseKernel(VectorKernel):
-    """Lockstep kernel for the two-phase strategies (Algorithm 2 / §4.1).
+class _Fork(NamedTuple):
+    """One replicate's lockstep state where a two-phase member forks.
 
-    Phase 1 reuses the Dynamic* state machinery verbatim.  Each replicate
-    crosses its own threshold (``resolve_threshold`` replayed against the
-    replicate's platform, matching the scalar reset) the moment a request
-    finds ``remaining <= threshold`` — the same pre-dispatch check
-    ``assign`` performs — and freezes its knowledge into per-worker block
-    caches plus a swap-remove sampler over the surviving task ids, in the
-    pool's sorted id order.  From then on its events draw one uniformly
-    random unprocessed task, ship the missing blocks, and report phase 2.
+    Views into the live ``(R, ...)`` arrays, taken at the crossing pop and
+    consumed before the replicate's next step; :func:`_phase2_analytic`
+    only reads them.
+    """
 
-    Under static speeds a crossing replicate leaves the lockstep loop
-    entirely: phase 2 assigns exactly one task per event at a constant
-    ``1 / speed_w`` duration, so its whole remainder is closed-form — the
-    pop schedule resumes the heap from the replicate's pending event
-    times and FIFO ranks (:func:`_pop_schedule` with ``t0``/``rank0``),
-    the sampler draws collapse into one batched ``Generator.integers``
-    call, and block shipping is first-occurrence accounting against the
-    frozen caches (:meth:`_phase2_analytic`).  Only replicates on a
-    dynamic speed model stay in the event loop, their phases advancing
-    side by side through the shared queue.
+    speeds: np.ndarray  # (p,) platform speeds
+    times: np.ndarray  # (p,) pending event times
+    seqs: np.ndarray  # (p,) their heap insertion sequences
+    processed: np.ndarray  # (n, n[, n]) phase-1 task bitmap
+    order: np.ndarray  # (dims, p, n) known indices in insertion order
+    cnt: np.ndarray  # (dims, p) known-index counts
+    blocks: np.ndarray  # (p,) phase-1 blocks per worker
+    tasks: np.ndarray  # (p,) phase-1 tasks per worker
+    makespan: float
+    n_events: int
+    events: Optional[List[Event]]
+
+
+def _is_two_phase(prototype: Strategy) -> bool:
+    return isinstance(prototype, (OuterTwoPhase, MatrixTwoPhase))
+
+
+class _LockstepKernel(VectorKernel):
+    """Lockstep kernel for the Dynamic* strategies and their two-phase variants.
+
+    Phase 1 is the Dynamic* loop of Algorithms 1 and 3, R replicates at
+    once.  A two-phase member crosses its own threshold per replicate
+    (``resolve_threshold`` replayed against the replicate's platform,
+    matching the scalar reset) the moment a request finds ``remaining <=
+    threshold`` — the same pre-dispatch check ``assign`` performs.
+
+    Under static speeds the member then *forks*: phase 2 assigns exactly
+    one task per event at a constant ``1 / speed_w``, so its whole
+    remainder is closed-form (:func:`_phase2_analytic`) from the
+    replicate's state at the crossing pop.  The loop itself carries on
+    for the members still in phase 1, so one loop serves a whole group of
+    cells that share their replicates (:meth:`run_group`): a DynamicOuter
+    cell and any number of DynamicOuter2Phases cells, whatever sets their
+    thresholds.  A replicate leaves the loop after its last fork; a member
+    without a threshold, or whose threshold phase 1 never reaches, takes
+    the finished phase-1 run.  A single cell is the one-member group.
+
+    Replicates on a dynamic speed model (one-member groups only) instead
+    freeze their knowledge into per-worker block caches plus a
+    swap-remove sampler over the surviving task ids (:meth:`_freeze`) and
+    stay in the loop, their phase-2 events advancing through the shared
+    queue beside the other replicates' phase-1 events.
     """
 
     def __init__(self, kind: str, strategy_name: str) -> None:
         self._kind = kind
         self.strategy_name = strategy_name
 
+    def group_key(self, prototype: Strategy) -> Optional[Tuple[str, int]]:
+        return (self._kind, prototype.n)
+
     def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
         n = prototype.n
         if self._kind == "outer":
+            if not _is_two_phase(prototype):
+                return n * n + 32 * p * n + 64 * p
             # Phase-1 state + (R, p, n) caches + sampler replay ids.
             return 9 * n * n + 34 * p * n + 64 * p
+        if not _is_two_phase(prototype):
+            return n**3 + 48 * p * n + 64 * p
         return 9 * n**3 + 3 * p * n * n + 48 * p * n + 64 * p
 
     def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
-        assert isinstance(prototype, (OuterTwoPhase, MatrixTwoPhase))
-        n = prototype.n
+        return self.run_group([prototype], ctx)[0]
+
+    def run_group(
+        self, prototypes: Sequence[Strategy], ctx: BatchContext
+    ) -> List[List[KernelRun]]:
+        """Run every member over one shared phase-1 lockstep.
+
+        Returns one :class:`KernelRun` list per member, each bit-identical
+        to running that member alone.  With one member the replicate
+        generators are consumed exactly as the scalar engine would; with
+        several, each fork draws its phase 2 from a copy, so the
+        generators end where the longest member's phase 1 stopped.
+        """
+        n = prototypes[0].n
         R, p = int(ctx.speeds.shape[0]), int(ctx.speeds.shape[1])
-        outer = self._kind == "outer"
+        M = len(prototypes)
         replay = _replay_models(ctx.models)
+        assert replay is None or M == 1, "dynamic speeds run one member at a time"
         # The scalar strategy resolves its threshold at reset() from the
-        # bound platform; replay that resolution per replicate.
-        thresholds = np.array(
-            [prototype.resolve_threshold(pl) for pl in ctx.platforms], dtype=np.int64
-        )
-        acc = _LockstepAccumulator(self.strategy_name, R, p, n, ctx.want_events)
-        state = _OuterDynState(R, p, n) if outer else _MatrixDynState(R, p, n)
+        # bound platform; replay that resolution per replicate.  -1 marks
+        # a member without one (Dynamic*).
+        thresholds = np.full((M, R), -1, dtype=np.int64)
+        for m, prototype in enumerate(prototypes):
+            if _is_two_phase(prototype):
+                thresholds[m] = [prototype.resolve_threshold(pl) for pl in ctx.platforms]
+        name = " + ".join(dict.fromkeys(prototype.name for prototype in prototypes))
+        acc = _LockstepAccumulator(name, R, p, n, ctx.want_events)
+        state = _OuterDynState(R, p, n) if self._kind == "outer" else _MatrixDynState(R, p, n)
+        # Members still following each replicate's phase 1, and the
+        # highest threshold among them (the next possible crossing).
+        following = np.ones((M, R), dtype=bool)
+        next_cross = thresholds.max(axis=0)
+        check = bool((next_cross > 0).any())
+        forks: List[List[Optional[KernelRun]]] = [[None] * R for _ in range(M)]
         phase2 = np.zeros(R, dtype=bool)
         p2_items: List[Optional[List[int]]] = [None] * R
         caches: Optional[_BlockCaches] = None
@@ -1095,57 +1133,83 @@ class _TwoPhaseKernel(VectorKernel):
         while act.size:
             now, wsel = acc.pop(act)
             # Threshold check before dispatch, as assign() does.
-            crossing = ~phase2[act] & (state.remaining[act] <= thresholds[act])
-            if crossing.any():
-                for r in act[crossing].tolist():
-                    if replay is None or replay[r] is None:
-                        # Static speeds: the remainder is closed-form.
-                        self._phase2_analytic(int(r), state, acc, ctx)
-                        continue
+            crossing = act[state.remaining[act] <= next_cross[act]] if check else act[:0]
+            for r in crossing.tolist():
+                next_cross[r] = -1
+                if replay is not None and replay[r] is not None:
                     if caches is None:
                         caches = _BlockCaches(self._kind, R, p, n)
-                    p2_items[int(r)] = self._freeze(state, caches, int(r), p)
+                    p2_items[r] = self._freeze(state, caches, r, p)
                     phase2[r] = True
-                keep = state.remaining[act] > 0
-                if not keep.all():
-                    act = act[keep]
-                    now = now[keep]
-                    wsel = wsel[keep]
-                    if not act.size:
-                        break
-            in2 = phase2[act]
-            A = int(act.size)
-            blocks = np.zeros(A, dtype=np.int64)
-            tasks = np.zeros(A, dtype=np.int64)
+                    continue
+                fork = acc.fork(state, ctx.speeds, r)
+                crossed = following[:, r] & (thresholds[:, r] >= state.remaining[r])
+                for m in np.flatnonzero(crossed).tolist():
+                    generator = ctx.generators[r]
+                    forks[m][r] = _phase2_analytic(
+                        fork, generator if M == 1 else copy.deepcopy(generator)
+                    )
+                following[crossed, r] = False
+                next_cross[r] = thresholds[following[:, r], r].max(initial=-1)
+            if crossing.size:
+                keep = following[:, act].any(axis=0)
+                act, now, wsel = act[keep], now[keep], wsel[keep]
+                if not act.size:
+                    break
             phases: Optional[np.ndarray] = None
-            g1 = np.flatnonzero(~in2)
-            if g1.size:
-                b1, t1 = state.step(ctx.generators, act[g1], wsel[g1])
-                blocks[g1] = b1
-                tasks[g1] = t1
-            g2 = np.flatnonzero(in2)
-            if g2.size:
-                assert caches is not None
-                phases = np.ones(A, dtype=np.int64)
-                phases[g2] = 2
-                rg = act[g2]
-                vals = np.empty(int(g2.size), dtype=np.int64)
-                for x, r in enumerate(rg.tolist()):
-                    lst = p2_items[r]
-                    assert lst is not None
-                    # SampleSet.draw over the frozen remainder: the live
-                    # size *is* the remaining count.
-                    size = int(state.remaining[r])
-                    idx = int(ctx.generators[r].integers(size))
-                    vals[x] = lst[idx]
-                    lst[idx] = lst[size - 1]
-                blocks[g2] = caches.ship(rg, wsel[g2], vals)
-                tasks[g2] = 1
-                state.remaining[rg] -= 1
+            if caches is None:
+                blocks, tasks = state.step(ctx.generators, act, wsel)
+            else:
+                blocks, tasks, phases = self._mixed_step(
+                    state, caches, p2_items, phase2, ctx, act, wsel
+                )
             durations = _event_durations(ctx.speeds, replay, act, wsel, tasks)
             acc.commit(act, wsel, now, durations, blocks, tasks, phases)
             act = act[state.remaining[act] > 0]
-        return acc.finish()
+        out: List[List[KernelRun]] = []
+        for row in forks:
+            final = acc.finish() if any(run is None for run in row) else []
+            out.append([final[r] if run is None else run for r, run in enumerate(row)])
+        return out
+
+    def _mixed_step(
+        self,
+        state: "_OuterDynState | _MatrixDynState",
+        caches: _BlockCaches,
+        p2_items: List[Optional[List[int]]],
+        phase2: np.ndarray,
+        ctx: BatchContext,
+        act: np.ndarray,
+        wsel: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step with some replicates in lockstep phase 2 (dynamic speeds)."""
+        in2 = phase2[act]
+        A = int(act.size)
+        blocks = np.zeros(A, dtype=np.int64)
+        tasks = np.zeros(A, dtype=np.int64)
+        g1 = np.flatnonzero(~in2)
+        if g1.size:
+            b1, t1 = state.step(ctx.generators, act[g1], wsel[g1])
+            blocks[g1] = b1
+            tasks[g1] = t1
+        g2 = np.flatnonzero(in2)
+        phases = np.ones(A, dtype=np.int64)
+        phases[g2] = 2
+        rg = act[g2]
+        vals = np.empty(int(g2.size), dtype=np.int64)
+        for x, r in enumerate(rg.tolist()):
+            lst = p2_items[r]
+            assert lst is not None
+            # SampleSet.draw over the frozen remainder: the live size *is*
+            # the remaining count.
+            size = int(state.remaining[r])
+            idx = int(ctx.generators[r].integers(size))
+            vals[x] = lst[idx]
+            lst[idx] = lst[size - 1]
+        blocks[g2] = caches.ship(rg, wsel[g2], vals)
+        tasks[g2] = 1
+        state.remaining[rg] -= 1
+        return blocks, tasks, phases
 
     def _freeze(
         self,
@@ -1178,106 +1242,102 @@ class _TwoPhaseKernel(VectorKernel):
         flat: List[int] = np.flatnonzero(~state.processed[r].reshape(-1)).tolist()
         return flat
 
-    def _phase2_analytic(
-        self,
-        r: int,
-        state: "_OuterDynState | _MatrixDynState",
-        acc: _LockstepAccumulator,
-        ctx: BatchContext,
-    ) -> None:
-        """Close out replicate *r*'s phase 2 in closed form (static speeds).
 
-        Every phase-2 event assigns exactly one task for a constant
-        ``1 / speed_w``, so from the crossing pop onward the schedule is
-        the heap resumed at the replicate's pending event times (the
-        crossing pop itself becomes the first phase-2 event), the sampler
-        indices are one batched draw over deterministically shrinking
-        bounds, and the shipped blocks are first occurrences of
-        (worker, block) keys not already in the frozen phase-1 caches.
-        The replicate's totals merge into the accumulator and it leaves
-        the lockstep loop for good.
-        """
-        n = state.n
-        p = int(acc.times.shape[1])
-        m = int(state.remaining[r])
-        d = 1.0 / ctx.speeds[r]
-        rank0 = np.empty(p, dtype=np.int64)
-        rank0[np.argsort(acc.seqs[r], kind="stable")] = np.arange(p, dtype=np.int64)
-        w_seq, pop_times, counts, mk2 = _pop_schedule(
-            d, m, t0=acc.times[r], rank0=rank0
-        )
-        idx = ctx.generators[r].integers(np.arange(m, 0, -1, dtype=np.int64))
-        pool: List[int] = np.flatnonzero(~state.processed[r].reshape(-1)).tolist()
-        task_seq = _replay_draws(m, idx, items=pool)
-        order, cnt = state.order, state.cnt
-        outer = self._kind == "outer"
-        block_space = n if outer else n * n
-        # Frozen per-worker caches (scalar _enter_phase2) as flat
-        # (worker, block) masks, one per operand in cache-add order.
-        dims = 2 if outer else 3
-        seen = [np.zeros((p, block_space), dtype=bool) for _ in range(dims)]
-        if outer:
-            width = int(cnt[:, r].max())
-            if width:
-                valid_cols = np.arange(width)
-                w_rows = np.broadcast_to(np.arange(p)[:, None], (p, width))
-                for dim in range(2):
-                    pad = order[dim, r, :, :width]
-                    valid = valid_cols < cnt[dim, r][:, None]
-                    seen[dim][w_rows[valid], pad[valid]] = True
-        else:
-            seen_a = seen[0].reshape(p, n, n)
-            seen_b = seen[1].reshape(p, n, n)
-            seen_c = seen[2].reshape(p, n, n)
-            cnt_r = cnt[:, r].tolist()
-            for w in range(p):
-                rows = order[0, r, w, : cnt_r[0][w]][:, None]
-                cols = order[1, r, w, : cnt_r[1][w]]
-                deps = order[2, r, w, : cnt_r[2][w]]
-                seen_a[w][rows, deps] = True
-                seen_b[w][deps[:, None], cols] = True
-                seen_c[w][rows, cols] = True
-        if outer:
-            i, j = np.divmod(task_seq, n)
-            base = w_seq * n
-            keys = (base + i, base + j)
-        else:
-            ij, k = np.divmod(task_seq, n)
-            i, j = np.divmod(ij, n)
-            base = w_seq * block_space
-            keys = (base + i * n + k, base + k * n + j, base + i * n + j)
-        per_blocks = np.zeros(p, dtype=np.int64)
-        per_event = np.zeros(m, dtype=np.int64) if acc.events is not None else None
-        is_first = np.empty(m, dtype=bool)
-        for cache, key in zip(seen, keys):
-            # First occurrence of each (worker, block) key not already in
-            # the frozen cache ships exactly once (BlockCache.add).
-            srt = np.argsort(key, kind="stable")
-            ks = key[srt]
-            is_first[0] = True
-            np.not_equal(ks[1:], ks[:-1], out=is_first[1:])
-            fresh = is_first & ~cache.reshape(-1)[ks]
-            per_blocks += np.bincount(ks[fresh] // block_space, minlength=p)
-            if per_event is not None:
-                per_event[srt[fresh]] += 1
-        acc.blocks_acc[r] += per_blocks
-        acc.tasks_acc[r] += counts
-        acc.n_events[r] += m
-        if mk2 > acc.makespan[r]:
-            acc.makespan[r] = mk2
-        if acc.events is not None:
-            assert per_event is not None
-            acc.events[r].extend(
-                zip(
-                    pop_times.tolist(),
-                    w_seq.tolist(),
-                    per_event.tolist(),
-                    [1] * m,
-                    d[w_seq].tolist(),
-                    [2] * m,
-                )
+def _phase2_analytic(fork: _Fork, generator: np.random.Generator) -> KernelRun:
+    """One replicate's whole run, its phase 2 closed-form (static speeds).
+
+    Every phase-2 event assigns exactly one task for a constant
+    ``1 / speed_w``, so from the crossing pop onward the schedule is the
+    heap resumed at the replicate's pending event times and FIFO ranks
+    (:func:`_pop_schedule` with ``t0``/``rank0``; the crossing pop itself
+    becomes the first phase-2 event), the sampler indices are one batched
+    draw over deterministically shrinking bounds, and the shipped blocks
+    are first occurrences of (worker, block) keys not already in the
+    frozen phase-1 caches.  Pure: reads *fork*, consumes *generator*, and
+    returns the phase-1 prefix plus phase 2 as one :class:`KernelRun`.
+    """
+    processed = fork.processed
+    n = int(processed.shape[0])
+    outer = processed.ndim == 2
+    p = int(fork.times.size)
+    d = 1.0 / fork.speeds
+    rank0 = np.empty(p, dtype=np.int64)
+    rank0[np.argsort(fork.seqs, kind="stable")] = np.arange(p, dtype=np.int64)
+    pool: List[int] = np.flatnonzero(~processed.reshape(-1)).tolist()
+    m = len(pool)
+    w_seq, pop_times, counts, mk2 = _pop_schedule(d, m, t0=fork.times, rank0=rank0)
+    idx = generator.integers(np.arange(m, 0, -1, dtype=np.int64))
+    task_seq = _replay_draws(m, idx, items=pool)
+    order, cnt = fork.order, fork.cnt
+    block_space = n if outer else n * n
+    # Frozen per-worker caches (scalar _enter_phase2) as flat
+    # (worker, block) masks, one per operand in cache-add order.
+    dims = 2 if outer else 3
+    seen = [np.zeros((p, block_space), dtype=bool) for _ in range(dims)]
+    if outer:
+        width = int(cnt.max())
+        if width:
+            valid_cols = np.arange(width)
+            w_rows = np.broadcast_to(np.arange(p)[:, None], (p, width))
+            for dim in range(2):
+                pad = order[dim, :, :width]
+                valid = valid_cols < cnt[dim][:, None]
+                seen[dim][w_rows[valid], pad[valid]] = True
+    else:
+        seen_a = seen[0].reshape(p, n, n)
+        seen_b = seen[1].reshape(p, n, n)
+        seen_c = seen[2].reshape(p, n, n)
+        cnt_l = cnt.tolist()
+        for w in range(p):
+            rows = order[0, w, : cnt_l[0][w]][:, None]
+            cols = order[1, w, : cnt_l[1][w]]
+            deps = order[2, w, : cnt_l[2][w]]
+            seen_a[w][rows, deps] = True
+            seen_b[w][deps[:, None], cols] = True
+            seen_c[w][rows, cols] = True
+    if outer:
+        i, j = np.divmod(task_seq, n)
+        base = w_seq * n
+        keys = (base + i, base + j)
+    else:
+        ij, k = np.divmod(task_seq, n)
+        i, j = np.divmod(ij, n)
+        base = w_seq * block_space
+        keys = (base + i * n + k, base + k * n + j, base + i * n + j)
+    per_blocks = np.zeros(p, dtype=np.int64)
+    per_event = np.zeros(m, dtype=np.int64) if fork.events is not None else None
+    is_first = np.empty(m, dtype=bool)
+    for cache, key in zip(seen, keys):
+        # First occurrence of each (worker, block) key not already in the
+        # frozen cache ships exactly once (BlockCache.add).
+        srt = np.argsort(key, kind="stable")
+        ks = key[srt]
+        is_first[0] = True
+        np.not_equal(ks[1:], ks[:-1], out=is_first[1:])
+        fresh = is_first & ~cache.reshape(-1)[ks]
+        per_blocks += np.bincount(ks[fresh] // block_space, minlength=p)
+        if per_event is not None:
+            per_event[srt[fresh]] += 1
+    events: Optional[List[Event]] = None
+    if fork.events is not None:
+        assert per_event is not None
+        events = fork.events + list(
+            zip(
+                pop_times.tolist(),
+                w_seq.tolist(),
+                per_event.tolist(),
+                [1] * m,
+                d[w_seq].tolist(),
+                [2] * m,
             )
-        state.remaining[r] = 0
+        )
+    return KernelRun(
+        fork.blocks + per_blocks,
+        fork.tasks + counts,
+        max(fork.makespan, mk2),
+        fork.n_events + m,
+        events,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1294,10 +1354,10 @@ _KERNELS: Dict[Type[Strategy], VectorKernel] = {
     MatrixSorted: _TaskByTaskKernel("matrix", False, "SortedMatrix"),
     OuterMapReduce: _TaskByTaskKernel("outer", True, "MapReduceOuter", blocks_per_task=2),
     MatrixMapReduce: _TaskByTaskKernel("matrix", True, "MapReduceMatrix", blocks_per_task=3),
-    OuterDynamic: _OuterDynamicKernel(),
-    MatrixDynamic: _MatrixDynamicKernel(),
-    OuterTwoPhase: _TwoPhaseKernel("outer", "DynamicOuter2Phases"),
-    MatrixTwoPhase: _TwoPhaseKernel("matrix", "DynamicMatrix2Phases"),
+    OuterDynamic: _LockstepKernel("outer", "DynamicOuter"),
+    MatrixDynamic: _LockstepKernel("matrix", "DynamicMatrix"),
+    OuterTwoPhase: _LockstepKernel("outer", "DynamicOuter2Phases"),
+    MatrixTwoPhase: _LockstepKernel("matrix", "DynamicMatrix2Phases"),
 }
 
 

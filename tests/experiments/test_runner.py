@@ -1,10 +1,27 @@
 """Tests for repro.experiments.runner."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.core.strategies import OuterDynamic, OuterRandom
-from repro.experiments.runner import average_normalized_comm, mean_analysis_ratio
+from repro.experiments.parallel import (
+    ScenarioPlatformSpec,
+    StrategySpec,
+    UniformPlatformSpec,
+    shutdown_pool,
+)
+from repro.experiments.runner import (
+    average_normalized_comm,
+    average_normalized_comm_group,
+    collect_planned_cells,
+    mean_analysis_ratio,
+)
+from repro.obs.sink import RecordingSink
 from repro.platform import DynamicSpeedModel, Platform, uniform_speeds
+from repro.store.cache import ResultStore
 
 
 def factory(rng):
@@ -68,3 +85,111 @@ class TestWorkersOption:
         serial = average_normalized_comm(strategy, factory, 10, 4, seed=0, workers=1)
         parallel = average_normalized_comm(strategy, factory, 10, 4, seed=0, workers=2)
         assert parallel == serial
+
+
+#: One figure point: a beta sweep (duplicate beta included), auto beta, the
+#: Dynamic* cell, and a cell outside the group.
+POINT = [
+    StrategySpec("DynamicOuter2Phases", 10, beta=1.0),
+    StrategySpec("RandomOuter", 10),
+    StrategySpec("DynamicOuter2Phases", 10, beta=2.0),
+    StrategySpec("DynamicOuter", 10),
+    StrategySpec("DynamicOuter2Phases", 10, beta=2.0),
+    StrategySpec("DynamicOuter2Phases", 10),
+]
+
+
+def _per_cell(factories, platform, **kwargs):
+    return [average_normalized_comm(f, platform, 10, 3, **kwargs) for f in factories]
+
+
+def _store_state(store):
+    counts = dataclasses.astuple(store.counts)
+    return counts, sorted(entry.fingerprint for entry in store.entries())
+
+
+class TestGroupEntry:
+    @pytest.mark.parametrize("precached", [(), (0, 3, 4), tuple(range(len(POINT)))])
+    def test_matches_per_cell_loop(self, tmp_path, precached):
+        platform = UniformPlatformSpec(6)
+        stores = []
+        for name in ("loop", "group"):
+            store = ResultStore(str(tmp_path / name))
+            for idx in precached:
+                average_normalized_comm(POINT[idx], platform, 10, 3, seed=4, cache=store)
+            store.counts = type(store.counts)()
+            stores.append(store)
+        loop_store, group_store = stores
+        expected = _per_cell(POINT, platform, seed=4, cache=loop_store)
+        got = average_normalized_comm_group(POINT, platform, 10, 3, seed=4, cache=group_store)
+        assert got == expected
+        assert _store_state(group_store) == _store_state(loop_store)
+        assert average_normalized_comm_group(POINT, platform, 10, 3, seed=4) == expected
+
+    def test_one_lockstep_per_group(self, monkeypatch):
+        calls = []
+        real = runner_module.simulate_sweep
+
+        def spy(factories, *args, **kwargs):
+            calls.append(len(factories))
+            return real(factories, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "simulate_sweep", spy)
+        matrix_point = [StrategySpec("DynamicMatrix", 5), StrategySpec("DynamicMatrix2Phases", 5)]
+        average_normalized_comm_group(POINT, UniformPlatformSpec(6), 10, 3, seed=4)
+        average_normalized_comm_group(matrix_point, UniformPlatformSpec(6), 5, 3, seed=4)
+        assert calls == [5, 2]
+
+    def test_records_identical_planned_cells(self):
+        with collect_planned_cells() as loop_cells:
+            _per_cell(POINT, UniformPlatformSpec(6), seed=4)
+        with collect_planned_cells() as group_cells:
+            average_normalized_comm_group(POINT, UniformPlatformSpec(6), 10, 3, seed=4)
+        assert group_cells == loop_cells
+        assert len(group_cells) == len(POINT)
+
+    @pytest.mark.parametrize(
+        "case", ["workers", "scalar", "sink", "dynamic-speeds", "seed-sequence"]
+    )
+    def test_delegates_cell_by_cell(self, monkeypatch, case):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the shared lockstep must not run")
+
+        monkeypatch.setattr(runner_module, "simulate_sweep", no_sweep)
+        if case == "dynamic-speeds":
+            platform = ScenarioPlatformSpec("dyn.5", 6)
+        else:
+            platform = UniformPlatformSpec(6)
+
+        def options():
+            # Fresh per call: sinks and seed sequences carry state.
+            return {
+                "workers": {"workers": 2},
+                "scalar": {"vectorize": False},
+                "sink": {"sink": RecordingSink()},
+                "seed-sequence": {"seed": np.random.SeedSequence(7)},
+            }.get(case, {})
+
+        loop_opts, group_opts = options(), options()
+        loop_opts.pop("workers", None)  # the serial loop is the reference
+        try:
+            expected = _per_cell(POINT, platform, **{"seed": 4, **loop_opts})
+            got = average_normalized_comm_group(POINT, platform, 10, 3, **{"seed": 4, **group_opts})
+        finally:
+            shutdown_pool()
+        assert got == expected
+        if case == "sink":
+            assert group_opts["sink"].snapshot() == loop_opts["sink"].snapshot()
+
+    def test_dynamic_speeds_probe_once_per_cell(self, tmp_path):
+        platform = ScenarioPlatformSpec("dyn.5", 6)
+        loop_store = ResultStore(str(tmp_path / "loop"))
+        group_store = ResultStore(str(tmp_path / "group"))
+        expected = _per_cell(POINT, platform, seed=4, cache=loop_store)
+        got = average_normalized_comm_group(POINT, platform, 10, 3, seed=4, cache=group_store)
+        assert got == expected
+        assert _store_state(group_store) == _store_state(loop_store)
+
+    def test_invalid_reps(self):
+        with pytest.raises(ValueError):
+            average_normalized_comm_group(POINT, UniformPlatformSpec(6), 10, 0)

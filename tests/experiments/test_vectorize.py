@@ -177,8 +177,10 @@ class TestBenchScaling:
             "replicate_sweep_parallel4": self._entry(4.0),
         }
         assert _derive_metrics(entries, cpu_count=4)["parallel_speedup_ok"] is False
-        # Warn-only on a single-CPU machine: parallelism cannot win there.
-        assert _derive_metrics(entries, cpu_count=1)["parallel_speedup_ok"] is True
+        # Unmeasured on a single-CPU machine: parallelism cannot win there,
+        # so the ratio proves nothing either way.
+        assert _derive_metrics(entries, cpu_count=1)["parallel_speedup_ok"] is None
+        assert _derive_metrics(entries, cpu_count=None)["parallel_speedup_ok"] is None
 
     def test_derive_metrics_scaling_curve(self):
         entries = {}

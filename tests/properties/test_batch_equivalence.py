@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.strategies.registry import make_strategy
 from repro.platform import Platform, uniform_speeds
 from repro.platform.speeds import make_scenario
-from repro.simulator import simulate, simulate_batch
+from repro.simulator import simulate, simulate_batch, simulate_sweep
 from repro.utils.rng import spawn_rngs
 
 VECTORIZED_OUTER = ["RandomOuter", "SortedOuter", "DynamicOuter", "MapReduceOuter"]
@@ -182,3 +182,61 @@ def test_dynamic_speed_traces_fingerprint_match_scalar(case):
         assert np.array_equal(ref_model._speeds, got_model._speeds)
     for bg, sg in zip(batch_gens, scalar_gens):
         assert bg.bit_generator.state == sg.bit_generator.state
+
+
+@st.composite
+def sweep_case(draw):
+    kernel = draw(st.sampled_from(["Outer", "Matrix"]))
+    n = draw(st.integers(1, 5)) if kernel == "Matrix" else draw(st.integers(1, 10))
+    total = n**3 if kernel == "Matrix" else n * n
+    p = draw(st.integers(1, 10))
+    # A random threshold set: None is the Dynamic* member, {} auto beta;
+    # duplicates, thresholds past the task count and unreachable ones all
+    # come up.
+    member = st.one_of(
+        st.none(),
+        st.fixed_dictionaries({}, optional={"agnostic": st.booleans()}),
+        st.fixed_dictionaries({"beta": st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 9.0])}),
+        st.fixed_dictionaries({"phase1_fraction": st.sampled_from([0.0, 0.3, 0.7, 1.0])}),
+        st.fixed_dictionaries({"threshold_tasks": st.integers(0, 2 * total)}),
+    )
+    members = draw(st.lists(member, min_size=1, max_size=6))
+    platform_seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2**31))
+    return kernel, n, p, members, platform_seeds, seed
+
+
+@given(sweep_case())
+@settings(**COMMON)
+def test_sweep_members_match_scalar(case):
+    # One shared phase-1 lockstep, forked at every member's threshold,
+    # must give each member exactly its own scalar runs.
+    kernel, n, p, members, platform_seeds, seed = case
+    platforms = [Platform(uniform_speeds(p, 10.0, 100.0, rng=s)) for s in platform_seeds]
+    reps = len(platforms)
+    factories = [
+        (lambda: make_strategy(f"Dynamic{kernel}", n))
+        if kwargs is None
+        else (lambda kwargs=kwargs: make_strategy(f"Dynamic{kernel}2Phases", n, **kwargs))
+        for kwargs in members
+    ]
+    got = simulate_sweep(factories, platforms, rngs=spawn_rngs(seed, reps))
+    for factory, results in zip(factories, got):
+        refs = [
+            simulate(factory(), platform, rng=g)
+            for platform, g in zip(platforms, spawn_rngs(seed, reps))
+        ]
+        for ref, res in zip(refs, results):
+            assert (
+                ref.total_blocks,
+                ref.n_assignments,
+                ref.makespan,
+                ref.per_worker_blocks.tolist(),
+                ref.per_worker_tasks.tolist(),
+            ) == (
+                res.total_blocks,
+                res.n_assignments,
+                res.makespan,
+                res.per_worker_blocks.tolist(),
+                res.per_worker_tasks.tolist(),
+            )

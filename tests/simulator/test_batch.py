@@ -16,7 +16,7 @@ from repro.obs.sink import RecordingSink
 from repro.platform import Platform, uniform_speeds
 from repro.platform.speeds import StaticSpeedModel, make_scenario
 from repro.simulator import has_vector_kernel, simulate, simulate_batch
-from repro.simulator.batch import fallback_reason
+from repro.simulator.batch import fallback_reason, simulate_sweep, sweep_group_key
 from repro.simulator.vector_kernels import (
     _fifo_fix,
     _heap_schedule,
@@ -417,3 +417,144 @@ def test_length_validation():
         simulate_batch(factory, [platform], rngs=[1], speed_models=[None, None])
     with pytest.raises(ValueError, match="sinks"):
         simulate_batch(factory, [platform], rngs=[1], sinks=[None, None])
+
+
+# -- simulate_sweep: shared phase-1 groups -----------------------------------
+
+
+def _assert_sweep_matches(members, platforms, seed, **kwargs):
+    """simulate_sweep == per-member simulate_batch == the scalar oracle."""
+    factories = [lambda name=name, n=n, kw=kw: make_strategy(name, n, **kw) for name, n, kw in members]
+    R = len(platforms)
+    got = simulate_sweep(factories, platforms, rngs=spawn_rngs(seed, R), **kwargs)
+    assert len(got) == len(members)
+    for factory, results in zip(factories, got):
+        batch = simulate_batch(factory, platforms, rngs=spawn_rngs(seed, R))
+        scalar = [
+            simulate(factory(), platform, rng=g)
+            for platform, g in zip(platforms, spawn_rngs(seed, R))
+        ]
+        assert len(results) == R
+        for ref, via_batch, res in zip(scalar, batch, results):
+            assert_same_result(ref, res)
+            assert_same_result(via_batch, res)
+
+
+@pytest.mark.parametrize("kernel,n,p", [("Outer", 12, 5), ("Matrix", 6, 7)])
+def test_sweep_matches_batch_and_scalar(kernel, n, p):
+    two_phase = f"Dynamic{kernel}2Phases"
+    members = [
+        (two_phase, n, {"beta": 1.0}),
+        (f"Dynamic{kernel}", n, {}),
+        (two_phase, n, {"beta": 1.0}),  # duplicate beta
+        (two_phase, n, {"beta": 2.5}),
+        (two_phase, n, {"beta": 0.0}),  # threshold == task count: first pop
+        (two_phase, n, {"threshold_tasks": 10**6}),
+        (two_phase, n, {"threshold_tasks": 3}),
+        (two_phase, n, {"phase1_fraction": 0.4}),
+        (two_phase, n, {"phase1_fraction": 1.0}),  # threshold 0: never forks
+        (two_phase, n, {}),  # auto beta
+        (two_phase, n, {"agnostic": True}),
+    ]
+    platforms = [Platform(uniform_speeds(p, 10, 100, rng=40 + r)) for r in range(4)]
+    _assert_sweep_matches(members, platforms, seed=17)
+
+
+def test_sweep_threshold_phase_one_never_reaches():
+    # n=30, p=6, beta=6: threshold round(e^-6 * 900) = 2, but phase 1's
+    # last step jumps past it, so the scalar run never enters phase 2.
+    platforms = [Platform(uniform_speeds(6, 10, 100, rng=r)) for r in range(3)]
+    never = [
+        simulate(make_strategy("DynamicOuter2Phases", 30, beta=6.0), platform, rng=g, collect_trace=True)
+        for platform, g in zip(platforms, spawn_rngs(5, 3))
+    ]
+    assert any({rec.phase for rec in res.trace.records} == {1} for res in never)
+    members = [("DynamicOuter2Phases", 30, {"beta": 6.0}), ("DynamicOuter2Phases", 30, {"beta": 2.0})]
+    # Without a Dynamic member the unreached member alone keeps phase 1 going.
+    _assert_sweep_matches(members, platforms, seed=5)
+    _assert_sweep_matches(members + [("DynamicOuter", 30, {})], platforms, seed=5)
+
+
+def test_sweep_auto_beta_thresholds_differ_per_replicate():
+    from repro.experiments.parallel import UniformPlatformSpec
+
+    spec = UniformPlatformSpec(8)
+    gens = spawn_rngs(23, 5)
+    platforms = [spec(g) for g in gens]
+    thresholds = {make_strategy("DynamicMatrix2Phases", 6).resolve_threshold(pl) for pl in platforms}
+    assert len(thresholds) > 1
+    members = [("DynamicMatrix2Phases", 6, {}), ("DynamicMatrix", 6, {}), ("DynamicMatrix2Phases", 6, {"beta": 1.5})]
+    factories = [lambda name=name, kw=kw: make_strategy(name, 6, **kw) for name, _, kw in members]
+    got = simulate_sweep(factories, platforms, rngs=gens)
+    for factory, results in zip(factories, got):
+        ref_gens = spawn_rngs(23, 5)
+        ref_platforms = [spec(g) for g in ref_gens]
+        for ref, res in zip(simulate_batch(factory, ref_platforms, rngs=ref_gens), results):
+            assert_same_result(ref, res)
+
+
+@pytest.mark.parametrize("kernel", ["Outer", "Matrix"])
+def test_sweep_chunked_matches_unchunked(kernel):
+    n = 10 if kernel == "Outer" else 5
+    R = 7
+    members = [
+        (f"Dynamic{kernel}", n, {}),
+        (f"Dynamic{kernel}2Phases", n, {"beta": 1.0}),
+        (f"Dynamic{kernel}2Phases", n, {"beta": 3.0}),
+    ]
+    prototypes = [make_strategy(name, n, **kw) for name, _, kw in members]
+    kernel_obj = kernel_for(prototypes[0])
+    per_rep = max(kernel_obj.bytes_per_replicate(proto, 4) for proto in prototypes)
+    budget = 3 * per_rep
+    assert -(-R // 3) >= 3  # at least three chunks
+    platforms = [Platform(uniform_speeds(4, 10, 100, rng=60 + r)) for r in range(R)]
+    _assert_sweep_matches(members, platforms, seed=8, memory_budget_bytes=budget)
+
+
+def test_sweep_generators_end_where_longest_phase_one_stopped():
+    platforms = [Platform(uniform_speeds(5, 10, 100, rng=r)) for r in range(3)]
+    two = lambda: make_strategy("DynamicOuter2Phases", 12, beta=1.0)
+    dyn = lambda: make_strategy("DynamicOuter", 12)
+    # One member: exactly simulate_batch's stream consumption.
+    alone, batch = spawn_rngs(4, 3), spawn_rngs(4, 3)
+    simulate_sweep([two], platforms, rngs=alone)
+    simulate_batch(two, platforms, rngs=batch)
+    assert [g.bit_generator.state for g in alone] == [g.bit_generator.state for g in batch]
+    # Several: forks draw from copies; the Dynamic member runs phase 1 out.
+    group, dyn_only = spawn_rngs(4, 3), spawn_rngs(4, 3)
+    simulate_sweep([two, dyn], platforms, rngs=group)
+    simulate_batch(dyn, platforms, rngs=dyn_only)
+    assert [g.bit_generator.state for g in group] == [g.bit_generator.state for g in dyn_only]
+
+
+def test_sweep_validation():
+    platform = Platform(uniform_speeds(4, 10, 100, rng=1))
+    dyn = lambda: make_strategy("DynamicOuter", 8)
+    with pytest.raises(ValueError, match="static speeds"):
+        _, model = make_scenario("dyn.5", 4, rng=0)
+        simulate_sweep([dyn], [platform], rngs=[1], speed_models=[model])
+    with pytest.raises(ValueError, match="share one"):
+        simulate_sweep([dyn, lambda: make_strategy("DynamicMatrix", 8)], [platform], rngs=[1])
+    with pytest.raises(ValueError, match="share one"):
+        simulate_sweep([dyn, lambda: make_strategy("DynamicOuter", 9)], [platform], rngs=[1])
+    with pytest.raises(ValueError, match="share one"):
+        simulate_sweep([dyn, lambda: make_strategy("RandomOuter", 8)], [platform], rngs=[1])
+    with pytest.raises(ValueError, match="rngs"):
+        simulate_sweep([dyn], [platform], rngs=[1, 2])
+    with pytest.raises(ValueError, match="memory_budget_bytes"):
+        simulate_sweep([dyn], [platform], rngs=[1], memory_budget_bytes=0)
+    mixed = [platform, Platform(uniform_speeds(5, 10, 100, rng=2))]
+    with pytest.raises(ValueError, match="worker count"):
+        simulate_sweep([dyn], mixed, rngs=[1, 2])
+    static = simulate_sweep([dyn], [platform], rngs=[3], speed_models=[StaticSpeedModel()])
+    assert_same_result(simulate(dyn(), platform, rng=3), static[0][0])
+    assert simulate_sweep([], [platform], rngs=[1]) == []
+    assert simulate_sweep([dyn], [], rngs=[]) == [[]]
+
+
+def test_sweep_group_key():
+    assert sweep_group_key(make_strategy("DynamicOuter", 8)) == ("outer", 8)
+    assert sweep_group_key(make_strategy("DynamicOuter2Phases", 8, beta=2.0)) == ("outer", 8)
+    assert sweep_group_key(make_strategy("DynamicMatrix2Phases", 5)) == ("matrix", 5)
+    assert sweep_group_key(make_strategy("RandomOuter", 8)) is None
+    assert sweep_group_key(make_strategy("DynamicOuter", 8, collect_ids=True)) is None
