@@ -62,7 +62,6 @@ from repro.faults import (
     ReassignLost,
     RecoveryPolicy,
     ReplicateTail,
-    simulate_faulty,
 )
 from repro.simulator import FaultStats, SimulationResult, Trace, simulate
 
@@ -84,7 +83,6 @@ __all__ = [
     "SimulationResult",
     "Trace",
     # faults
-    "simulate_faulty",
     "FaultSchedule",
     "FaultStats",
     "RecoveryPolicy",

@@ -5,8 +5,8 @@ Where :mod:`repro.lint` checks one module at a time, this package builds a
 graph over ``src/repro`` — and runs interprocedural checks on it:
 
 * **A-TAINT** — no wall-clock/entropy/unordered-iteration source reachable
-  from ``simulate()``/``simulate_faulty()`` or the fingerprint/exporter
-  paths (:mod:`repro.analyze.taint`);
+  from the simulation engines or the fingerprint/exporter paths
+  (:mod:`repro.analyze.taint`);
 * **A-LOCK** / **A-LOCK-HELD** — every ``repro.store`` mutation dominated
   by FileLock acquisition, and no lock held across slow or forking calls
   (:mod:`repro.analyze.locks`);

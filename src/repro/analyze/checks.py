@@ -20,6 +20,7 @@ from repro.lint.framework import Finding, ModuleInfo, Rule, run_lint
 
 __all__ = [
     "ALL_CHECKS",
+    "ENGINE_ENTRY_POINTS",
     "AnalysisModel",
     "AnalyzeCheck",
     "build_model",
@@ -27,6 +28,14 @@ __all__ = [
     "run_analysis",
     "select_checks",
 ]
+
+#: The simulation engines' entry points: A-TAINT's determinism roots and the
+#: long-running calls A-LOCK-HELD keeps out of locked regions.
+ENGINE_ENTRY_POINTS: Tuple[str, ...] = (
+    "repro.simulator.engine.simulate",
+    "repro.simulator.batch.simulate_batch",
+    "repro.simulator.batch.simulate_sweep",
+)
 
 
 @dataclass

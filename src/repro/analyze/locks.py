@@ -14,8 +14,9 @@ a store.  Two properties keep that true as the store grows:
   best-effort cleanup is the sanctioned per-line ``noqa`` exemption.
 * **A-LOCK-HELD** — no lock may be held across a slow or forking call:
   ``subprocess``/``os.fork``/``multiprocessing``, or anything that
-  (transitively) enters ``simulate()``/``simulate_faulty()``.  A lock held
-  across a long simulation starves every sibling replicate process.
+  (transitively) enters a simulation engine (``simulate()``,
+  ``simulate_batch()``, ``simulate_sweep()``).  A lock held across a long
+  simulation starves every sibling replicate process.
 
 Lock acquisitions are recognized both semantically (a ``with`` context
 resolving to ``FileLock(...)`` or a project method named ``lock``) and
@@ -29,7 +30,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analyze.callgraph import ChainLink
-from repro.analyze.checks import AnalysisModel, AnalyzeCheck
+from repro.analyze.checks import ENGINE_ENTRY_POINTS, AnalysisModel, AnalyzeCheck
 from repro.analyze.findings import AnalysisFinding
 from repro.analyze.project import FunctionSymbol
 from repro.lint.framework import Severity
@@ -55,9 +56,7 @@ _SLOW_CALLS = frozenset({"os.fork", "os.forkpty", "os.system"})
 _SLOW_PREFIXES: Tuple[str, ...] = ("subprocess.", "multiprocessing.", "concurrent.")
 
 #: Project functions that are long-running by contract.
-_SLOW_INTERNAL = frozenset(
-    {"repro.simulator.engine.simulate", "repro.faults.engine.simulate_faulty"}
-)
+_SLOW_INTERNAL = frozenset(ENGINE_ENTRY_POINTS)
 
 
 def _in_scope(module: str) -> bool:
@@ -224,7 +223,7 @@ class LockHeldAcrossSlowCall(AnalyzeCheck):
     severity = Severity.ERROR
     description = (
         "code inside a FileLock 'with' block must not call subprocess/fork/"
-        "multiprocessing or reach simulate()/simulate_faulty(); a lock held "
+        "multiprocessing or reach a simulation engine; a lock held "
         "across slow work starves every process sharing the store"
     )
 

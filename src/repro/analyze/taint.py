@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analyze.checks import AnalysisModel, AnalyzeCheck
+from repro.analyze.checks import ENGINE_ENTRY_POINTS, AnalysisModel, AnalyzeCheck
 from repro.analyze.findings import AnalysisFinding
 from repro.lint.framework import Severity
 
@@ -36,11 +36,7 @@ __all__ = ["ENTRY_ROOT_PATTERNS", "DeterminismTaint", "entry_roots", "sanitized_
 
 #: Call-graph roots: the deterministic core every source must stay out of.
 #: Exact qualnames, or ``module.*`` for every public function of a module.
-ENTRY_ROOT_PATTERNS: Tuple[str, ...] = (
-    "repro.simulator.engine.simulate",
-    "repro.simulator.batch.simulate_batch",
-    "repro.simulator.batch.simulate_sweep",
-    "repro.faults.engine.simulate_faulty",
+ENTRY_ROOT_PATTERNS: Tuple[str, ...] = ENGINE_ENTRY_POINTS + (
     "repro.store.fingerprint.*",
     "repro.obs.export.*",
 )
@@ -122,7 +118,7 @@ class DeterminismTaint(AnalyzeCheck):
     description = (
         "no wall-clock, OS-entropy, unordered-filesystem or raw-set-iteration "
         "source may be reachable from simulate()/simulate_batch()/"
-        "simulate_sweep()/simulate_faulty() or the fingerprint/exporter paths (sanitized: "
+        "simulate_sweep() or the fingerprint/exporter paths (sanitized: "
         "repro.obs.profile, repro.utils.rng, repro.serve, CLI modules)"
     )
 

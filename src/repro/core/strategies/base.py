@@ -162,11 +162,11 @@ class Strategy(ABC):
     def release_tasks(self, task_ids: np.ndarray) -> None:
         """Return allocated-but-unfinished tasks to the allocatable set.
 
-        Called by the fault-aware engine (:mod:`repro.faults`) when an
+        Called by a fault-aware run (:mod:`repro.faults`) when an
         assignment is lost before completing: the tasks must become
         allocatable again so a later request re-executes them.  Every
         registered strategy implements this; custom strategies that never
-        run under :func:`repro.faults.simulate_faulty` may ignore it.
+        run under a fault ``schedule`` may ignore it.
         """
         raise NotImplementedError(f"{type(self).__name__} does not support fault recovery")
 

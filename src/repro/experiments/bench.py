@@ -124,7 +124,6 @@ def _faulty_engine_workload(strategy_name: str, n: int, p: int) -> WorkloadFn:
     """Fault-aware simulation: *strategy_name* under a drawn crash schedule."""
 
     def run(seed: int, prof: StageProfiler) -> object:
-        from repro.faults.engine import simulate_faulty
         from repro.faults.models import FaultSchedule
 
         with prof.stage("setup"):
@@ -139,7 +138,7 @@ def _faulty_engine_workload(strategy_name: str, n: int, p: int) -> WorkloadFn:
             )
             strategy = make_strategy(strategy_name, n, collect_ids=True)
         with prof.stage("simulate"):
-            return simulate_faulty(strategy, platform, schedule=schedule, rng=seed + 1)
+            return simulate(strategy, platform, schedule=schedule, rng=seed + 1)
 
     return run
 

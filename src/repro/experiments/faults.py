@@ -13,8 +13,8 @@ Protocol per repetition: draw a fresh platform (speeds uniform in
 [10, 100], as in the paper), estimate the nominal makespan
 ``n^2 / sum(speeds)``, pre-draw a :class:`~repro.faults.models.FaultSchedule`
 whose per-worker crash rate yields the target expected crash count over
-that nominal duration, and run :func:`~repro.faults.engine.simulate_faulty`
-with the default reassignment policy.  Everything derives from one seed per
+that nominal duration, and run :func:`~repro.simulator.engine.simulate` under
+it with the default reassignment policy.  Everything derives from one seed per
 repetition, so the sweep is exactly reproducible.
 """
 
@@ -27,10 +27,10 @@ import numpy as np
 from repro.core.analysis.lower_bounds import lower_bound
 from repro.core.strategies.registry import make_strategy
 from repro.experiments.config import FigureData, check_scale
-from repro.faults.engine import simulate_faulty
 from repro.faults.models import FaultSchedule
 from repro.platform.platform import Platform
 from repro.platform.speeds import uniform_speeds
+from repro.simulator.engine import simulate
 from repro.store.cache import ResultStore
 from repro.store.cells import summary_from_payload, summary_to_payload
 from repro.store.fingerprint import ENGINE_VERSION, seed_token
@@ -176,7 +176,7 @@ def flt01(
             lb = lower_bound("outer", platform.relative_speeds, n)
             for name in CHURN_STRATEGIES:
                 strategy = make_strategy(name, n, collect_ids=True)
-                result = simulate_faulty(strategy, platform, schedule=schedule, rng=rng)
+                result = simulate(strategy, platform, schedule=schedule, rng=rng)
                 per_point[name].add(result.normalized(lb))
                 if name == CHURN_STRATEGIES[0]:
                     assert result.faults is not None

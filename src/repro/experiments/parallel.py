@@ -17,21 +17,14 @@ count:
 
 Dispatch is chunked: repetitions are grouped into one contiguous index
 chunk per worker, so each process pays its startup and import cost against
-``reps / workers`` repetitions rather than one.  Two transports exist:
+``reps / workers`` repetitions rather than one.  Chunks go to a **warm
+pool** — a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
+kept alive across calls, so a bench loop or sweep pays process startup
+once, not per cell; the job is pickled once and shipped with every chunk.
 
-* picklable jobs (the ``*Spec`` classes below always are) go to a **warm
-  pool** — a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-  kept alive across calls, so a bench loop or sweep pays process startup
-  once, not per cell; the job is pickled once per chunk;
-* non-picklable jobs (arbitrary closures, like the ones the figure
-  drivers build) fall back to fork transport on ``fork`` platforms: the
-  :class:`RepJob` is published in a module global before a cold pool is
-  created, so forked workers inherit it and only chunk indices cross the
-  process boundary.
-
-When neither transport is usable (no multiprocessing support, a broken
-pool, or a non-picklable job on a spawn-only platform) the call silently
-degrades to the serial path, preserving results.
+When the pool is unusable (no multiprocessing support, a broken pool, or
+a job that does not pickle, such as one built from closure factories) the
+call silently degrades to the serial path, preserving results.
 """
 
 from __future__ import annotations
@@ -288,8 +281,8 @@ class RepJob:
     Holds the factories, the problem size and the **resolved** per-repetition
     seed sequences — resolving them in the parent is what makes results
     independent of the process a repetition lands on.  The job pickles iff
-    its factories do (the ``*Spec`` classes above always do); under fork
-    dispatch arbitrary closures work as well because nothing is pickled.
+    its factories do (the ``*Spec`` classes above always do); a job built
+    from closures runs serially.
 
     With ``collect_metrics=True`` every repetition runs under a fresh
     :class:`~repro.obs.sink.RecordingSink` and its (picklable) snapshot
@@ -339,17 +332,6 @@ class RepJob:
 # Dispatch machinery
 # ---------------------------------------------------------------------------
 
-#: Job published for fork-based workers (set around pool creation only).
-_FORK_JOB: Optional[RepJob] = None
-
-
-def _fork_chunk(indices: List[int]) -> List[RepOutcome]:
-    job = _FORK_JOB
-    if job is None:  # pragma: no cover - defensive
-        raise RuntimeError("fork-dispatch chunk executed without a published job")
-    return job.run(indices)
-
-
 def _pickled_chunk(payload: bytes, indices: List[int]) -> List[RepOutcome]:
     job: RepJob = pickle.loads(payload)
     return job.run(indices)
@@ -389,35 +371,6 @@ def _preferred_context() -> Optional[multiprocessing.context.BaseContext]:
     if "spawn" in methods:
         return multiprocessing.get_context("spawn")
     return None
-
-
-def _is_picklable(job: RepJob) -> bool:
-    try:
-        pickle.dumps(job)
-    except Exception:
-        return False
-    return True
-
-
-def _run_fork(
-    job: RepJob,
-    chunks: List[List[int]],
-    workers: int,
-    ctx: multiprocessing.context.BaseContext,
-) -> Optional[List[RepOutcome]]:
-    """Fork transport: workers inherit the job from the module global."""
-    global _FORK_JOB
-    _FORK_JOB = job
-    try:
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-        except OSError:
-            return None
-        with pool:
-            results = list(pool.map(_fork_chunk, chunks))
-    finally:
-        _FORK_JOB = None
-    return [outcome for chunk in results for outcome in chunk]
 
 
 #: The warm worker pool and the (start method, worker count) it was built
@@ -466,8 +419,11 @@ def _run_pickled(
     workers: int,
     ctx: multiprocessing.context.BaseContext,
 ) -> Optional[List[RepOutcome]]:
-    """Pickle transport over the warm pool (factories must pickle)."""
-    payload = pickle.dumps(job)
+    """Run the chunks on the warm pool; ``None`` when it cannot."""
+    try:
+        payload = pickle.dumps(job)
+    except Exception:  # closures and other factories that do not pickle
+        return None
     pool = _warm_pool(ctx, workers)
     if pool is None:
         return None
@@ -488,14 +444,7 @@ def _dispatch(
     if len(chunks) <= 1:
         return job.run(all_indices)
     ctx = _preferred_context()
-    if ctx is None:
-        return job.run(all_indices)
-    if _is_picklable(job):
-        values = _run_pickled(job, chunks, workers, ctx)
-    elif ctx.get_start_method() == "fork":
-        values = _run_fork(job, chunks, workers, ctx)
-    else:
-        return job.run(all_indices)
+    values = None if ctx is None else _run_pickled(job, chunks, workers, ctx)
     if values is None:
         return job.run(all_indices)
     return values

@@ -9,13 +9,15 @@ stragglers and lost messages — while keeping every run a pure function of
   (:class:`WorkerCrash`, :class:`Slowdown`, :class:`AssignmentLoss`,
   :class:`FaultSchedule`);
 * :mod:`repro.faults.policies` — recovery policies
-  (:class:`ReassignLost`, :class:`HeartbeatTimeout`, :class:`ReplicateTail`);
-* :mod:`repro.faults.engine` — :func:`simulate_faulty`, the fault-aware
-  event loop; bit-identical to :func:`repro.simulator.simulate` for an
-  empty schedule.
+  (:class:`ReassignLost`, :class:`HeartbeatTimeout`, :class:`ReplicateTail`).
+
+The events run through the one master–worker loop,
+:func:`repro.simulator.simulate`: pass ``schedule=`` (and optionally
+``policy=``) to make a run fault-aware.  An empty schedule reproduces the
+fault-free run bit for bit, plus a zeroed
+:class:`~repro.simulator.results.FaultStats` accounting.
 """
 
-from repro.faults.engine import FaultDeadlockError, simulate_faulty
 from repro.faults.models import AssignmentLoss, FaultSchedule, Slowdown, WorkerCrash
 from repro.faults.policies import (
     HeartbeatTimeout,
@@ -23,9 +25,9 @@ from repro.faults.policies import (
     RecoveryPolicy,
     ReplicateTail,
 )
+from repro.simulator.engine import FaultDeadlockError
 
 __all__ = [
-    "simulate_faulty",
     "FaultDeadlockError",
     "FaultSchedule",
     "WorkerCrash",

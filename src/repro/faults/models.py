@@ -10,8 +10,8 @@ the full schedule from its own RNG stream before the simulation starts, so
 the fault process never interleaves with the strategy's draws.  Two
 consequences:
 
-* an empty schedule leaves :func:`repro.faults.simulate_faulty` bit-identical
-  to :func:`repro.simulator.simulate` (nothing extra is drawn from the run
+* a run under an empty schedule is bit-identical to the fault-free
+  :func:`repro.simulator.simulate` run (nothing extra is drawn from the run
   RNG);
 * worker ``w``'s fault stream is drawn from the ``w``-th spawned child of
   the schedule seed, so it depends only on ``(seed, w)`` — adding workers to
@@ -118,7 +118,9 @@ class FaultSchedule:
     Build one with :meth:`draw` (seed-driven) or construct directly from
     event lists for hand-crafted scenarios and tests.  Events are normalized
     to tuples sorted by worker and time, so two schedules with the same
-    events compare equal regardless of construction order.
+    events compare equal regardless of construction order.  A worker's
+    crashes must not overlap: each comes strictly after the previous
+    restart.
     """
 
     crashes: Tuple[WorkerCrash, ...] = field(default_factory=tuple)
@@ -142,7 +144,9 @@ class FaultSchedule:
         prev: Dict[int, WorkerCrash] = {}
         for crash in self.crashes:
             earlier = prev.get(crash.worker)
-            if earlier is not None and crash.time < earlier.restart_time:
+            # A crash at the restart instant would pop before the queued
+            # restart, so a worker's next crash must come strictly later.
+            if earlier is not None and crash.time <= earlier.restart_time:
                 raise ValueError(
                     f"worker {crash.worker} crashes at t={crash.time} while "
                     f"already down (until t={earlier.restart_time})"
@@ -193,7 +197,7 @@ class FaultSchedule:
 
     @classmethod
     def empty(cls) -> "FaultSchedule":
-        """The fault-free schedule (``simulate_faulty`` reduces to ``simulate``)."""
+        """The fault-free schedule (the run matches one without a schedule)."""
         return cls()
 
     @classmethod

@@ -1,7 +1,7 @@
 """Recovery policies: how the master reacts to faults.
 
-A :class:`RecoveryPolicy` plugs into :func:`repro.faults.simulate_faulty`
-and decides three things:
+A :class:`RecoveryPolicy` plugs into a fault-aware
+:func:`repro.simulator.simulate` run (``policy=``) and decides three things:
 
 * whether an issued assignment gets a heartbeat deadline
   (:meth:`~RecoveryPolicy.timeout_deadline`);
@@ -45,7 +45,7 @@ class RecoveryPolicy:
     name: ClassVar[str] = "abstract"
 
     #: Whether the policy needs per-task completion tracking.  When true,
-    #: :func:`repro.faults.simulate_faulty` requires the strategy to be
+    #: :func:`repro.simulator.simulate` requires the strategy to be
     #: built with ``collect_ids=True`` even for an empty fault schedule.
     needs_task_ids: ClassVar[bool] = False
 

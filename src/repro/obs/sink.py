@@ -1,11 +1,11 @@
 """Metric sinks: the engines' observability hooks.
 
-The simulation engines (:func:`repro.simulator.simulate`,
-:func:`repro.faults.simulate_faulty`) and the replicate runner accept an
-optional :class:`MetricsSink`.  The default is *no sink at all* — the hot
-loop performs a single ``is not None`` test per event and nothing else, so
-instrumentation costs nothing when disabled.  :class:`NullSink` is the
-explicit no-op for callers that want to pass "a sink that drops everything";
+The simulation engine (:func:`repro.simulator.simulate`, fault-aware or
+not) and the replicate runner accept an optional :class:`MetricsSink`.  The
+default is *no sink at all* — the hot loop performs a single ``is not None``
+test per event and nothing else, so instrumentation costs nothing when
+disabled.  :class:`NullSink` is the explicit no-op for callers that want to
+pass "a sink that drops everything";
 :class:`RecordingSink` accumulates :class:`~repro.obs.metrics.Metrics` and,
 optionally, a JSON-ready event stream.
 

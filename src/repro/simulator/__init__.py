@@ -9,7 +9,9 @@ documented library:
   worker-ready events (FIFO among equal timestamps);
 * :func:`~repro.simulator.engine.simulate` — the demand-driven loop: pop the
   next ready worker, ask the strategy for an assignment, account the shipped
-  blocks, advance the worker by the assignment's duration;
+  blocks, advance the worker by the assignment's duration; given a
+  :mod:`repro.faults` schedule, the same loop also runs crashes, restarts,
+  lost messages and heartbeat timeouts;
 * :class:`~repro.simulator.results.SimulationResult` — total/per-worker
   communication, task counts, makespan, and the optional event trace.
 
@@ -19,7 +21,7 @@ uploaded slightly in advance), so only the volume matters.
 """
 
 from repro.simulator.batch import has_vector_kernel, simulate_batch, simulate_sweep
-from repro.simulator.engine import LivelockError, simulate
+from repro.simulator.engine import FaultDeadlockError, LivelockError, simulate
 from repro.simulator.events import EventQueue
 from repro.simulator.gantt import ascii_gantt, utilization, worker_intervals
 from repro.simulator.results import FaultStats, SimulationResult
@@ -37,6 +39,7 @@ __all__ = [
     "simulate_sweep",
     "has_vector_kernel",
     "LivelockError",
+    "FaultDeadlockError",
     "EventQueue",
     "SimulationResult",
     "FaultStats",

@@ -16,10 +16,8 @@ __all__ = ["FaultStats", "SimulationResult"]
 class FaultStats:
     """Fault/recovery accounting of one fault-aware simulation run.
 
-    Produced by :func:`repro.faults.simulate_faulty`; all counters are zero
-    for an empty fault schedule.  Defined here (not in :mod:`repro.faults`)
-    so :class:`SimulationResult` can carry it without the simulator
-    depending on the fault subsystem.
+    Produced by :func:`repro.simulator.simulate` when given a fault
+    ``schedule``; all counters are zero for an empty schedule.
 
     Attributes
     ----------
@@ -88,8 +86,8 @@ class SimulationResult:
     trace:
         Full assignment trace when requested, else ``None``.
     faults:
-        Fault/recovery accounting when produced by the fault-aware engine
-        (:func:`repro.faults.simulate_faulty`), else ``None``.
+        Fault/recovery accounting of a run given a fault ``schedule``,
+        else ``None``.
     """
 
     total_blocks: int

@@ -15,7 +15,6 @@ import json
 from typing import Any, Dict, Optional
 
 from repro.core.strategies.registry import make_strategy
-from repro.faults.engine import simulate_faulty
 from repro.faults.models import FaultSchedule
 from repro.obs.sink import MetricsSink, RecordingSink
 from repro.platform.platform import Platform
@@ -79,11 +78,10 @@ def run_cached_simulation(
     """Simulate (or fetch) one run, byte-identical either way.
 
     With ``store=None`` or an uncacheable seed this is exactly
-    ``simulate(make_strategy(name, n), platform, rng=seed, sink=sink)``
-    (or :func:`~repro.faults.engine.simulate_faulty` when a *schedule* is
-    given).  Otherwise the serialized result is cached; on a hit the stored
-    sink snapshot is replayed into *sink* so reports cannot tell a cached
-    run from a fresh one.
+    ``simulate(make_strategy(name, n), platform, rng=seed, sink=sink,
+    schedule=schedule)``.  Otherwise the serialized result is cached; on a
+    hit the stored sink snapshot is replayed into *sink* so reports cannot
+    tell a cached run from a fresh one.
     """
     key = (
         None
@@ -113,12 +111,7 @@ def run_cached_simulation(
 
     strategy = make_strategy(strategy_name, n, **(strategy_kwargs or {}))
     run_sink: Optional[RecordingSink] = RecordingSink() if sink is not None else None
-    if schedule is None:
-        result = simulate(strategy, platform, rng=seed, sink=run_sink)
-    else:
-        result = simulate_faulty(
-            strategy, platform, schedule=schedule, rng=seed, sink=run_sink
-        )
+    result = simulate(strategy, platform, rng=seed, sink=run_sink, schedule=schedule)
     snapshot = None
     if run_sink is not None and sink is not None:
         snapshot = run_sink.snapshot()

@@ -3,6 +3,8 @@
 import os
 import subprocess
 
+from repro.simulator.batch import simulate_batch
+
 __all__ = ["Store"]
 
 
@@ -48,3 +50,8 @@ class Store:
     def _regen(self, path):
         """Fixture stub: transitively slow under the caller's lock."""
         return subprocess.check_output(["du", path])
+
+    def refill(self, cell):
+        """Fixture stub: a batch simulation under the lock — A-LOCK-HELD fires here."""
+        with self.lock():
+            return simulate_batch(cell)

@@ -64,6 +64,7 @@ class TestLockDiscipline:
         assert keys(findings) == {
             "A-LOCK-HELD:repro.store.cache.Store.rebuild:subprocess.run",
             "A-LOCK-HELD:repro.store.cache.Store.rebuild:subprocess.check_output",
+            "A-LOCK-HELD:repro.store.cache.Store.refill:repro.simulator.batch.simulate_batch",
         }
 
     def test_transitive_slow_call_has_chain(self, analyze_fixture):

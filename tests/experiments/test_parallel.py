@@ -48,8 +48,8 @@ class TestBitIdentical:
         assert par == serial
 
     def test_closure_factories_match_serial(self):
-        # Unpicklable lambdas (the figure drivers' style) must still work
-        # via fork dispatch — or fall back to serial, either way identical.
+        # Unpicklable lambdas cannot cross to the worker pool; the runner
+        # falls back to the serial path, with identical results.
         strategy = lambda: make_strategy("RandomOuter", 15)  # noqa: E731
         platform = lambda rng: Platform(uniform_speeds(4, 10.0, 100.0, rng=rng))  # noqa: E731
         serial = average_normalized_comm(strategy, platform, 15, 6, seed=9, workers=1)

@@ -1,15 +1,10 @@
-"""Tests for the fault-aware simulation engine."""
+"""Tests for fault-aware runs of the simulation engine (``schedule=``)."""
 
 import numpy as np
 import pytest
 
 from repro.core.strategies.registry import make_strategy, strategy_names
-from repro.faults import (
-    FaultSchedule,
-    HeartbeatTimeout,
-    ReplicateTail,
-    simulate_faulty,
-)
+from repro.faults import FaultSchedule, HeartbeatTimeout, ReplicateTail
 from repro.faults.models import AssignmentLoss, Slowdown, WorkerCrash
 from repro.platform import Platform, uniform_speeds
 from repro.simulator import simulate
@@ -42,10 +37,11 @@ class TestFaultFreeReduction:
     def test_identical_to_simulate(self, name, collect_ids):
         platform = _paper_platform()
         base = simulate(_make(name, collect_ids=collect_ids), platform, rng=321)
-        faulty = simulate_faulty(
+        faulty = simulate(
             _make(name, collect_ids=collect_ids), platform, schedule=EMPTY, rng=321
         )
         _assert_identical(base, faulty)
+        assert base.faults is None
         assert faulty.faults is not None
         assert not faulty.faults.any_faults
         assert faulty.faults.reexecuted_tasks == 0
@@ -56,7 +52,7 @@ class TestFaultFreeReduction:
         """Deadlines arm but never fire on an on-time static platform."""
         platform = _paper_platform()
         base = simulate(_make(name, collect_ids=True), platform, rng=321)
-        faulty = simulate_faulty(
+        faulty = simulate(
             _make(name, collect_ids=True),
             platform,
             schedule=EMPTY,
@@ -71,27 +67,33 @@ class TestFaultFreeReduction:
 class TestValidation:
     def test_rejects_non_schedule(self, small_platform):
         with pytest.raises(TypeError):
-            simulate_faulty(
-                _make("DynamicOuter", collect_ids=True), small_platform, schedule=None
+            simulate(
+                _make("DynamicOuter", collect_ids=True), small_platform, schedule=[]
             )
 
     def test_rejects_schedule_beyond_platform(self, small_platform):
         schedule = FaultSchedule(crashes=(WorkerCrash(9, 1.0, 1.0),))
         with pytest.raises(ValueError, match="worker 9"):
-            simulate_faulty(
+            simulate(
                 _make("DynamicOuter", collect_ids=True), small_platform, schedule=schedule
             )
 
     def test_nonempty_schedule_requires_collect_ids(self, small_platform):
         schedule = FaultSchedule(crashes=(WorkerCrash(0, 1.0, 1.0),))
         with pytest.raises(ValueError, match="collect_ids"):
-            simulate_faulty(
+            simulate(
                 _make("DynamicOuter", collect_ids=False), small_platform, schedule=schedule
+            )
+
+    def test_policy_requires_schedule(self, small_platform):
+        with pytest.raises(ValueError, match="schedule"):
+            simulate(
+                _make("DynamicOuter", collect_ids=True), small_platform, policy=HeartbeatTimeout()
             )
 
     def test_tracking_policy_requires_collect_ids(self, small_platform):
         with pytest.raises(ValueError, match="collect_ids"):
-            simulate_faulty(
+            simulate(
                 _make("DynamicOuter", collect_ids=False),
                 small_platform,
                 schedule=EMPTY,
@@ -102,7 +104,7 @@ class TestValidation:
 class TestCrashes:
     def test_single_crash_recovers(self, small_platform):
         schedule = FaultSchedule(crashes=(WorkerCrash(3, 0.05, 0.5),))
-        result = simulate_faulty(
+        result = simulate(
             _make("DynamicOuter", collect_ids=True),
             small_platform,
             schedule=schedule,
@@ -123,7 +125,7 @@ class TestCrashes:
     def test_crash_without_restart_still_completes(self, small_platform):
         """A worker that never returns must not block the run."""
         schedule = FaultSchedule(crashes=(WorkerCrash(0, 0.01, 1e9),))
-        result = simulate_faulty(
+        result = simulate(
             _make("DynamicOuter", collect_ids=True), small_platform, schedule=schedule, rng=5
         )
         assert result.faults is not None
@@ -133,7 +135,7 @@ class TestCrashes:
 
     def test_all_workers_crash_and_return(self, small_platform):
         crashes = tuple(WorkerCrash(w, 0.05, 0.2) for w in range(4))
-        result = simulate_faulty(
+        result = simulate(
             _make("DynamicOuter", collect_ids=True),
             small_platform,
             schedule=FaultSchedule(crashes=crashes),
@@ -144,11 +146,11 @@ class TestCrashes:
         assert result.faults.n_restarts == 4
 
     def test_crash_after_completion_never_fires(self, small_platform):
-        base = simulate_faulty(
+        base = simulate(
             _make("DynamicOuter", collect_ids=True), small_platform, schedule=EMPTY, rng=5
         )
         late = FaultSchedule(crashes=(WorkerCrash(0, base.makespan * 100, 1.0),))
-        result = simulate_faulty(
+        result = simulate(
             _make("DynamicOuter", collect_ids=True), small_platform, schedule=late, rng=5
         )
         _assert_identical(base, result)
@@ -159,7 +161,7 @@ class TestCrashes:
 class TestLossesAndSlowdowns:
     def test_first_request_lost_everywhere(self, small_platform):
         losses = tuple(AssignmentLoss(w, 0) for w in range(4))
-        result = simulate_faulty(
+        result = simulate(
             _make("DynamicOuter", collect_ids=True),
             small_platform,
             schedule=FaultSchedule(losses=losses),
@@ -175,14 +177,14 @@ class TestLossesAndSlowdowns:
         assert len(result.trace.faults_of_kind("loss")) == 4
 
     def test_uniform_slowdown_scales_makespan_only(self, small_platform):
-        base = simulate_faulty(
+        base = simulate(
             _make("DynamicOuter", collect_ids=True), small_platform, schedule=EMPTY, rng=5
         )
         horizon = base.makespan * 10.0
         # Factor 2 scales every duration by a power of two, which commutes
         # exactly with float rounding: the whole timeline doubles bit for bit.
         slowdowns = tuple(Slowdown(w, 0.0, 100.0 * horizon, 2.0) for w in range(4))
-        slowed = simulate_faulty(
+        slowed = simulate(
             _make("DynamicOuter", collect_ids=True),
             small_platform,
             schedule=FaultSchedule(slowdowns=slowdowns),
@@ -194,11 +196,11 @@ class TestLossesAndSlowdowns:
         assert slowed.makespan == 2.0 * base.makespan
 
     def test_partial_slowdown_delays_completion(self, small_platform):
-        base = simulate_faulty(
+        base = simulate(
             _make("DynamicOuter", collect_ids=True), small_platform, schedule=EMPTY, rng=5
         )
         slowdowns = (Slowdown(3, 0.0, base.makespan * 100.0, 50.0),)
-        slowed = simulate_faulty(
+        slowed = simulate(
             _make("DynamicOuter", collect_ids=True),
             small_platform,
             schedule=FaultSchedule(slowdowns=slowdowns),
@@ -209,11 +211,11 @@ class TestLossesAndSlowdowns:
 
 class TestPolicies:
     def test_heartbeat_fires_on_straggler(self, small_platform):
-        base = simulate_faulty(
+        base = simulate(
             _make("DynamicOuter", collect_ids=True), small_platform, schedule=EMPTY, rng=5
         )
         slowdowns = (Slowdown(3, 0.0, base.makespan * 1000.0, 50.0),)
-        result = simulate_faulty(
+        result = simulate(
             _make("DynamicOuter", collect_ids=True),
             small_platform,
             schedule=FaultSchedule(slowdowns=slowdowns),
@@ -230,11 +232,11 @@ class TestPolicies:
         assert result.makespan < 50.0 * base.makespan
 
     def test_replicate_tail_masks_straggler(self, small_platform):
-        base = simulate_faulty(
+        base = simulate(
             _make("DynamicOuter", collect_ids=True), small_platform, schedule=EMPTY, rng=5
         )
         slowdowns = (Slowdown(3, 0.0, base.makespan * 1000.0, 50.0),)
-        result = simulate_faulty(
+        result = simulate(
             _make("DynamicOuter", collect_ids=True),
             small_platform,
             schedule=FaultSchedule(slowdowns=slowdowns),
@@ -258,7 +260,7 @@ class TestDeterminism:
             8, 2.0, rng=17, crash_rate=3.0, mean_downtime=0.05, loss_prob=0.02
         )
         runs = [
-            simulate_faulty(
+            simulate(
                 _make(name, collect_ids=True), platform, schedule=schedule, rng=77
             )
             for _ in range(2)
@@ -270,7 +272,7 @@ class TestDeterminism:
         platform = Platform(uniform_speeds(6, 10, 100, rng=3))
         schedule = FaultSchedule.draw(6, 2.0, rng=4, crash_rate=2.0, mean_downtime=0.05)
         for name in strategy_names():
-            result = simulate_faulty(
+            result = simulate(
                 _make(name, collect_ids=True), platform, schedule=schedule, rng=11
             )
             assert result.faults is not None

@@ -1,5 +1,7 @@
 """Tests for the pre-drawn fault models."""
 
+import math
+
 import pytest
 
 from repro.faults.models import AssignmentLoss, FaultSchedule, Slowdown, WorkerCrash
@@ -57,8 +59,16 @@ class TestSchedule:
             FaultSchedule(crashes=(WorkerCrash(0, 1.0, 5.0), WorkerCrash(0, 3.0, 1.0)))
 
     def test_back_to_back_crashes_ok(self):
-        s = FaultSchedule(crashes=(WorkerCrash(0, 1.0, 1.0), WorkerCrash(0, 2.0, 1.0)))
+        after_restart = math.nextafter(2.0, math.inf)
+        s = FaultSchedule(crashes=(WorkerCrash(0, 1.0, 1.0), WorkerCrash(0, after_restart, 1.0)))
         assert len(s) == 2
+
+    def test_rejects_crash_at_restart_time(self):
+        # The crash event would pop before the queued restart, which would
+        # then be scheduled from a stale crash record, back in time.
+        crashes = (WorkerCrash(0, 1.0, 1.0), WorkerCrash(0, 2.0, 1.0), WorkerCrash(0, 5.0, 1.0))
+        with pytest.raises(ValueError, match="already down"):
+            FaultSchedule(crashes=crashes)
 
     def test_rejects_duplicate_losses(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,4 +1,4 @@
-"""Property-based tests of the fault engine's correctness contract.
+"""Property-based tests of the fault path's correctness contract.
 
 Acceptance criterion of the fault subsystem: under any crash schedule with
 eventual worker availability, every task is completed exactly once (the
@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.strategies.registry import make_strategy
-from repro.faults import FaultSchedule, simulate_faulty
+from repro.faults import FaultSchedule
 from repro.platform import Platform
+from repro.simulator import simulate
 
 STRATEGY_NAMES = ("DynamicOuter", "RandomOuter", "DynamicOuter2Phases", "DynamicMatrix")
 
@@ -35,7 +36,7 @@ def _run(name: str, schedule_seed: int, run_seed: int, crash_rate: float, loss_p
         loss_prob=loss_prob,
     )
     strategy = make_strategy(name, n, collect_ids=True)
-    result = simulate_faulty(
+    result = simulate(
         strategy, platform, schedule=schedule, rng=run_seed, collect_trace=True
     )
     return strategy, result

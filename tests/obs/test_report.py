@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.analysis.lower_bounds import lower_bound
 from repro.core.strategies import OuterDynamic, OuterTwoPhase
-from repro.faults import FaultSchedule, WorkerCrash, simulate_faulty
+from repro.faults import FaultSchedule, WorkerCrash
 from repro.core.strategies.registry import make_strategy
 from repro.obs import RecordingSink, build_report, render_report, summary_from_sink
 from repro.platform import Platform, uniform_speeds
@@ -75,7 +75,7 @@ class TestBuildReport:
 
     def test_fault_summary(self, platform):
         sink = RecordingSink()
-        simulate_faulty(
+        simulate(
             make_strategy("DynamicOuter", 16, collect_ids=True),
             platform,
             schedule=FaultSchedule(crashes=(WorkerCrash(0, 0.05, 0.5),)),
@@ -105,7 +105,7 @@ class TestRenderReport:
 
     def test_fault_line_rendered(self, platform):
         sink = RecordingSink()
-        simulate_faulty(
+        simulate(
             make_strategy("DynamicOuter", 16, collect_ids=True),
             platform,
             schedule=FaultSchedule(crashes=(WorkerCrash(0, 0.05, 0.5),)),

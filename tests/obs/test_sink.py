@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.strategies import OuterDynamic, OuterTwoPhase
 from repro.core.strategies.registry import make_strategy
-from repro.faults import FaultSchedule, WorkerCrash, simulate_faulty
+from repro.faults import FaultSchedule, WorkerCrash
 from repro.obs import ALL_PHASES, ALL_WORKERS, MetricsSink, NullSink, RecordingSink
 from repro.platform import Platform, uniform_speeds
 from repro.simulator import simulate
@@ -158,7 +158,7 @@ class TestFaultyEngineIntegration:
     def test_fault_counters_match_trace(self, platform):
         schedule = FaultSchedule(crashes=(WorkerCrash(0, 0.05, 0.5),))
         sink = RecordingSink(events=True)
-        result = simulate_faulty(
+        result = simulate(
             make_strategy("DynamicOuter", 16, collect_ids=True),
             platform,
             schedule=schedule,
@@ -179,7 +179,7 @@ class TestFaultyEngineIntegration:
     def test_empty_schedule_matches_fault_free_metrics(self, platform):
         base_sink, faulty_sink = RecordingSink(), RecordingSink()
         simulate(OuterDynamic(12), platform, rng=3, sink=base_sink)
-        simulate_faulty(
+        simulate(
             OuterDynamic(12), platform, schedule=FaultSchedule(), rng=3, sink=faulty_sink
         )
         assert base_sink.metrics == faulty_sink.metrics

@@ -1,9 +1,10 @@
 """Fingerprint regression tests: pin the engine's exact outputs.
 
-The fault-aware engine (:mod:`repro.faults`) promises bit-identical results
-to :func:`repro.simulator.simulate` for an empty schedule, which is only
-meaningful if the fault-free engine itself never drifts.  These values were
-captured from the engine at the point the fault subsystem was introduced;
+:func:`repro.simulator.simulate` promises that a run under an empty fault
+schedule is bit-identical to the run without one, which is only meaningful
+if the fault-free model itself never drifts (the fault paths are pinned in
+``tests/faults/test_fingerprints.py``).  These values were captured from
+the engine at the point the fault subsystem was introduced;
 any change here means simulation semantics (or RNG consumption) changed,
 which silently invalidates every recorded experiment.  Update the table
 only for a deliberate, documented engine change.

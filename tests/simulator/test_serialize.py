@@ -65,12 +65,12 @@ class TestRoundTrip:
 class TestFaultRoundTrip:
     @pytest.fixture
     def faulty_result(self, paper_platform):
-        from repro.faults import FaultSchedule, simulate_faulty
+        from repro.faults import FaultSchedule
 
         schedule = FaultSchedule.draw(
             paper_platform.p, 0.5, rng=2, crash_rate=8.0, mean_downtime=0.02, loss_prob=0.05
         )
-        return simulate_faulty(
+        return simulate(
             OuterTwoPhase(12, beta=3.0, collect_ids=True),
             paper_platform,
             schedule=schedule,
