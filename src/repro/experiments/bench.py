@@ -196,15 +196,20 @@ def _engine_params(strategy: StrategySpec, vectorize: "bool | str") -> Dict[str,
 
 
 def _sweep_workload(
-    n: int, p: int, reps: int, workers: int, vectorize: "bool | str" = "auto"
+    strategy_name: str,
+    n: int,
+    p: int,
+    reps: int,
+    workers: int,
+    vectorize: "bool | str" = "auto",
 ) -> WorkloadFn:
-    """Figure-9-style replicate sweep: RandomMatrix averaged over *reps*.
+    """Figure-style replicate sweep: *strategy_name* averaged over *reps*.
 
     *vectorize* pins the engine selection so the serial baseline stays a
     pure scalar-loop measurement (comparable with pre-batch records) while
     the vectorized workload measures the batch engine.
     """
-    strategy = StrategySpec("RandomMatrix", n)
+    strategy = StrategySpec(strategy_name, n)
     platform_spec = UniformPlatformSpec(p)
 
     def run(seed: int, prof: StageProfiler) -> object:
@@ -335,12 +340,22 @@ def _serve_roundtrip_workload(cells: int, n: int, reps: int) -> WorkloadFn:
     return run
 
 
-def _scaling_suite() -> List[Workload]:
-    """The replicate-count scaling sweep plus the two-phase β sweep.
+#: The lockstep kernel's scaling cells, ``(label, strategy, n)`` at
+#: ``p = 100``, each timed at the replicate counts the figures run
+#: (ci 2, medium 5, paper 10).
+_LOCKSTEP_CELLS = (("outer", "DynamicOuter", 100), ("matrix", "DynamicMatrix", 40))
+_LOCKSTEP_REPS = (2, 5, 10)
 
-    R ∈ {1, 4, 16, 64} × 3 engines for RandomMatrix, and a serial vs
-    vectorized DynamicOuter2Phases β sweep — the cell the two-phase
-    kernels' committed speedup is measured on.
+
+def _scaling_suite() -> List[Workload]:
+    """The replicate-count scaling sweeps plus the two-phase β sweep.
+
+    R ∈ {1, 4, 16, 64} × 3 engines for RandomMatrix; serial vs vectorized
+    DynamicOuter (n = 100) and DynamicMatrix (n = 40) at p = 100 and
+    R ∈ {2, 5, 10}, the lockstep kernel at figure replicate counts; and a
+    serial vs vectorized DynamicMatrix2Phases β sweep (n = 12, p = 20,
+    R = 256) — the cell the two-phase kernels' committed speedup is
+    measured on.
     """
     n, p = 16, 50
     spec = StrategySpec("RandomMatrix", n)
@@ -351,23 +366,36 @@ def _scaling_suite() -> List[Workload]:
             Workload(
                 f"scaling_reps{reps:02d}_serial",
                 {**base, "workers": 1, "vectorize": False, **_engine_params(spec, False)},
-                _sweep_workload(n, p, reps, 1, vectorize=False),
+                _sweep_workload("RandomMatrix", n, p, reps, 1, vectorize=False),
             )
         )
         workloads.append(
             Workload(
                 f"scaling_reps{reps:02d}_vectorized",
                 {**base, "workers": 1, "vectorize": True, **_engine_params(spec, True)},
-                _sweep_workload(n, p, reps, 1, vectorize=True),
+                _sweep_workload("RandomMatrix", n, p, reps, 1, vectorize=True),
             )
         )
         workloads.append(
             Workload(
                 f"scaling_reps{reps:02d}_parallel4",
                 {**base, "workers": 4, "vectorize": "auto", **_engine_params(spec, "auto")},
-                _sweep_workload(n, p, reps, 4, vectorize="auto"),
+                _sweep_workload("RandomMatrix", n, p, reps, 4, vectorize="auto"),
             )
         )
+    lk_p = 100
+    for label, strategy_name, lk_n in _LOCKSTEP_CELLS:
+        lk_spec = StrategySpec(strategy_name, lk_n)
+        for reps in _LOCKSTEP_REPS:
+            base = {"strategy": strategy_name, "n": lk_n, "p": lk_p, "reps": reps, "workers": 1}
+            for engine, vectorize in (("serial", False), ("vectorized", True)):
+                workloads.append(
+                    Workload(
+                        f"lockstep_{label}_reps{reps:02d}_{engine}",
+                        {**base, "vectorize": vectorize, **_engine_params(lk_spec, vectorize)},
+                        _sweep_workload(strategy_name, lk_n, lk_p, reps, 1, vectorize=vectorize),
+                    )
+                )
     # DynamicMatrix2Phases is the cell where vectorization pays most: the
     # scalar engine's per-event cost (cube marking, three n^2 block
     # caches) dwarfs the kernel's, and the static-speed phase-2 tail is
@@ -406,7 +434,8 @@ def build_suite(suite: str = "default") -> List[Workload]:
     runs (the two share workload names so records remain comparable within
     one suite); ``scaling`` sweeps the replicate count R ∈ {1, 4, 16, 64}
     serial vs vectorized vs parallel to chart how the batch engine and the
-    process pool amortize.
+    process pool amortize, and times the lockstep kernel at the figures'
+    replicate counts R ∈ {2, 5, 10}.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -460,19 +489,19 @@ def build_suite(suite: str = "default") -> List[Workload]:
             "replicate_sweep_serial",
             {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "workers": 1, "vectorize": False,
              **_engine_params(StrategySpec("RandomMatrix", sweep_n), False)},
-            _sweep_workload(sweep_n, sweep_p, sweep_reps, 1, vectorize=False),
+            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, 1, vectorize=False),
         ),
         Workload(
             "replicate_sweep_vectorized",
             {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "workers": 1, "vectorize": True,
              **_engine_params(StrategySpec("RandomMatrix", sweep_n), True)},
-            _sweep_workload(sweep_n, sweep_p, sweep_reps, 1, vectorize=True),
+            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, 1, vectorize=True),
         ),
         Workload(
             "replicate_sweep_parallel4",
             {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "workers": 4, "vectorize": False,
              **_engine_params(StrategySpec("RandomMatrix", sweep_n), False)},
-            _sweep_workload(sweep_n, sweep_p, sweep_reps, 4, vectorize=False),
+            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, 4, vectorize=False),
         ),
         Workload(
             "store_roundtrip",
@@ -514,9 +543,13 @@ def _derive_metrics(entries: Dict[str, Any], cpu_count: Optional[int]) -> Dict[s
     * ``replicate_sweep_vectorized_speedup`` — serial over batch-engine
       median, the headline number of the vectorized engine;
     * ``twophase_beta_sweep_speedup`` — the same ratio for the scaling
-      suite's DynamicOuter2Phases β sweep, pinning the two-phase kernels;
+      suite's DynamicMatrix2Phases β sweep (n = 12, p = 20, R = 256),
+      pinning the two-phase kernels;
     * ``scaling_curve`` — one row per replicate count of the scaling
-      suite, with both speedups.
+      suite, with both speedups;
+    * ``lockstep_curve`` — one row per lockstep cell and replicate count
+      (DynamicOuter and DynamicMatrix at R ∈ {2, 5, 10}), serial over
+      vectorized.
     """
 
     def median_of(name: str) -> Optional[float]:
@@ -552,6 +585,24 @@ def _derive_metrics(entries: Dict[str, Any], cpu_count: Optional[int]) -> Dict[s
         )
     if curve:
         derived["scaling_curve"] = curve
+    lockstep: List[Dict[str, Any]] = []
+    for label, strategy_name, _ in _LOCKSTEP_CELLS:
+        for reps in _LOCKSTEP_REPS:
+            s = median_of(f"lockstep_{label}_reps{reps:02d}_serial")
+            v = median_of(f"lockstep_{label}_reps{reps:02d}_vectorized")
+            if s is None or v is None:
+                continue
+            lockstep.append(
+                {
+                    "strategy": strategy_name,
+                    "reps": reps,
+                    "serial_s": s,
+                    "vectorized_s": v,
+                    "vectorized_speedup": s / v if v > 0 else None,
+                }
+            )
+    if lockstep:
+        derived["lockstep_curve"] = lockstep
     tp_serial = median_of("twophase_beta_sweep_serial")
     tp_vec = median_of("twophase_beta_sweep_vectorized")
     if tp_serial is not None and tp_vec is not None and tp_vec > 0:
@@ -602,7 +653,7 @@ def run_suite(
             entry["profile"] = prof.to_dict()
         entries[wl.name] = entry
         if echo is not None:
-            echo(f"  {wl.name:28s} median {statistics.median(times):8.4f}s")
+            echo(f"  {wl.name:34s} median {statistics.median(times):8.4f}s")
     record: Dict[str, Any] = {
         "schema": SCHEMA,
         "suite": suite,
@@ -825,7 +876,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"suite '{suite}':")
             for wl in build_suite(suite):
                 params = ", ".join(f"{k}={v}" for k, v in sorted(wl.params.items()))
-                print(f"  {wl.name:28s} {params}")
+                print(f"  {wl.name:34s} {params}")
         return 0
     if args.command == "run":
         return _cmd_run(args)

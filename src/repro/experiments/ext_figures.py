@@ -8,12 +8,15 @@ ext02     overlap model: slowdown vs bandwidth and prefetch depth
 ext03     Random baselines vs their coupon-collector closed form
 ========  ==================================================================
 
-The generators accept the driver-wide ``workers`` keyword for interface
-uniformity with :func:`repro.experiments.figures.generate`, but always run
-serially: they drive the extension engines directly rather than going
-through the replicate runner.  The ``cache`` keyword is likewise accepted
-and ignored — these sweeps finish in seconds at every scale, so memoizing
-them buys nothing.
+The generators accept the ``workers`` and ``cache`` keywords every figure
+generator takes, for interface uniformity with
+:func:`repro.experiments.figures.generate`, and ignore both: they call
+their engines directly rather than going through the replicate runner.
+ext01 and ext02 drive the extension engines one run at a time; ext03
+runs each point's replicates through
+:func:`repro.simulator.batch.simulate_batch`, whose analytic Random*
+kernels are bit-identical to per-replicate
+:func:`repro.simulator.simulate` calls.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.extensions.qr import (
 )
 from repro.platform.platform import Platform
 from repro.platform.speeds import uniform_speeds
-from repro.simulator.engine import simulate
+from repro.simulator.batch import simulate_batch
 from repro.store.cache import ResultStore
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.stats import summarize
@@ -143,10 +146,16 @@ def ext03(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         platform = Platform(uniform_speeds(p, 10, 100, rng=master))
         rel = platform.relative_speeds
         outer_sims = [
-            simulate(make_strategy("RandomOuter", n_outer), platform, rng=r).total_blocks for r in range(reps)
+            res.total_blocks
+            for res in simulate_batch(
+                lambda: make_strategy("RandomOuter", n_outer), [platform] * reps, rngs=list(range(reps))
+            )
         ]
         matrix_sims = [
-            simulate(make_strategy("RandomMatrix", n_matrix), platform, rng=r).total_blocks for r in range(reps)
+            res.total_blocks
+            for res in simulate_batch(
+                lambda: make_strategy("RandomMatrix", n_matrix), [platform] * reps, rngs=list(range(reps))
+            )
         ]
         so = summarize(outer_sims)
         sm = summarize(matrix_sims)

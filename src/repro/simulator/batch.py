@@ -14,7 +14,7 @@ silent scalar fallback is visible in bench/report output.
 
 Dynamic speed models no longer force the fallback: kernels replay
 ``model.duration`` per event on the replicate's own stream (see
-:func:`~repro.simulator.vector_kernels._event_durations`), so ``dyn.*``
+:meth:`~repro.simulator.vector_kernels._LockstepAccumulator.commit`), so ``dyn.*``
 heterogeneity sweeps vectorize too.  Only strategy subclasses without a
 kernel, per-task id collection, mixed worker counts, or custom/shared
 model instances still drop to the scalar loop.

@@ -25,23 +25,24 @@ Two kernel families cover all ten registry strategies:
 * the lockstep kernel (:class:`_LockstepKernel`, covering DynamicOuter /
   DynamicMatrix / DynamicOuter2Phases / DynamicMatrix2Phases) — the
   Dynamic* strategies' decisions depend on evolving shared state, so
-  replicates advance event by event, but *together*: worker-available
-  times are an (R, p) float array, per-worker knowledge lives in
-  (R, p, n) index buffers, the processed task bitmaps are (R, n, n[, n])
-  booleans, and each step's cross/shell marking is one padded
-  gather/scatter across every active replicate.  A two-phase strategy's
-  phase 1 *is* that loop: each replicate crosses its own
-  ``e^{-beta}``-remaining threshold and forks its phase 2 off the loop,
-  closed-form under static speeds.  One loop can therefore serve a whole
-  *group* of Dynamic-family cells that share their replicates
-  (:meth:`_LockstepKernel.run_group`): phase 1 runs once and every
-  two-phase member forks at its own threshold.
+  replicates advance event by event, but *together*.  The sequential
+  part of each event runs per replicate in plain Python, as in the
+  scalar engine: one ``heapq`` of ``(time, seq, worker)`` and plain-int
+  accumulators per replicate, and the strategy's draws with their
+  swap-removes on (R·p, dims, n) index buffers.  The data-parallel part,
+  each step's cross/shell marking, is one flat-index gather/scatter over
+  the (R, n, n[, n]) task bitmaps of every active replicate.  A
+  two-phase strategy's phase 1 *is* that loop: each replicate crosses
+  its own ``e^{-beta}``-remaining threshold and forks its phase 2 off
+  the loop, closed-form under static speeds.  One loop can therefore
+  serve a whole *group* of Dynamic-family cells that share their
+  replicates (:meth:`_LockstepKernel.run_group`): phase 1 runs once and
+  every two-phase member forks at its own threshold.
 
 Dynamic speed models (``dyn.*``) no longer force the scalar engine:
-strategy-side state stays vectorized across the replicate axis while
 each event's duration replays ``model.duration`` on the replicate's own
 stream, in pop order — exactly the call the scalar loop makes after each
-assignment (see :func:`_event_durations`).
+assignment (see :meth:`_LockstepAccumulator.commit`).
 
 Strategies without a kernel here (user subclasses) transparently fall
 back to per-replicate scalar simulation in the batch engine — the
@@ -166,7 +167,7 @@ class VectorKernel:
 
 
 # ---------------------------------------------------------------------------
-# Shared duration replay (static division / dynamic model calls)
+# Dynamic speed models
 # ---------------------------------------------------------------------------
 
 
@@ -176,41 +177,14 @@ def _replay_models(
     """Per-replicate models whose ``duration`` must be replayed per event.
 
     ``None`` when every replicate runs on static speeds (the common
-    case): durations then come from the one vectorized division in
-    :func:`_event_durations` with zero per-event Python work.
+    case): every duration is then the scalar engine's ``tasks / speed``
+    division, and the task-by-task kernels take their analytic path.
     """
     out = [
         model if model is not None and type(model) is not StaticSpeedModel else None
         for model in models
     ]
     return out if any(model is not None for model in out) else None
-
-
-def _event_durations(
-    speeds: np.ndarray,
-    replay: Optional[List[Optional[SpeedModel]]],
-    act: np.ndarray,
-    wsel: np.ndarray,
-    tasks: np.ndarray,
-) -> np.ndarray:
-    """Durations of one popped event per active replicate, scalar-exactly.
-
-    Static replicates use the same ``tasks / speed`` float division the
-    scalar engine inlines.  Replicates with a dynamic model instead call
-    ``model.duration(worker, tasks)`` on the replicate's own stream —
-    after the step's strategy draws, exactly where the scalar loop calls
-    it — so RNG consumption and the evolving per-worker speeds match the
-    oracle bit for bit.
-    """
-    durations = tasks / speeds[act, wsel]
-    if replay is not None:
-        w_l = wsel.tolist()
-        t_l = tasks.tolist()
-        for g, r in enumerate(act.tolist()):
-            model = replay[r]
-            if model is not None:
-                durations[g] = model.duration(w_l[g], t_l[g])
-    return durations
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +361,9 @@ class _TaskByTaskKernel(VectorKernel):
     ``arange`` for the Sorted* variants), and per-worker distinct-block
     counts from boolean scatters over (worker, block) key spaces.  The
     MapReduce variants ship a constant *blocks_per_task* instead of
-    consulting caches.  Replicates with a dynamic speed model take the
-    lockstep single-task path (:meth:`_run_lockstep`) — the schedule is
-    then genuinely history-dependent — with identical draws.
+    consulting caches.  Replicates with a dynamic speed model run event
+    by event instead (:meth:`_run_dynamic`) — the schedule is then
+    genuinely history-dependent — with identical draws.
     """
 
     def __init__(
@@ -420,7 +394,7 @@ class _TaskByTaskKernel(VectorKernel):
         total = n * n if self._kernel == "outer" else n**3
         replay = _replay_models(ctx.models)
         runs: List[Optional[KernelRun]] = [None] * R
-        lockstep = (
+        dynamic = (
             [] if replay is None else [r for r in range(R) if replay[r] is not None]
         )
         for r in range(R):
@@ -441,12 +415,12 @@ class _TaskByTaskKernel(VectorKernel):
             runs[r] = self._account(
                 n, p, total, d, w_seq, pop_times, counts, makespan, task_seq, ctx.want_events
             )
-        if lockstep:
-            for r, kr in zip(lockstep, self._run_lockstep(n, p, total, lockstep, ctx, replay)):
+        if dynamic:
+            for r, kr in zip(dynamic, self._run_dynamic(n, p, total, dynamic, ctx, replay)):
                 runs[r] = kr
         return [kr for kr in runs if kr is not None]
 
-    def _run_lockstep(
+    def _run_dynamic(
         self,
         n: int,
         p: int,
@@ -455,48 +429,40 @@ class _TaskByTaskKernel(VectorKernel):
         ctx: BatchContext,
         replay: Optional[List[Optional[SpeedModel]]],
     ) -> List[KernelRun]:
-        """Event-by-event lockstep for dynamic-speed replicates.
+        """Event-by-event runs for dynamic-speed replicates.
 
         Same draws, same block accounting; only the schedule is computed
-        per event because durations depend on the evolving speeds.
+        per event because durations depend on the evolving speeds.  No
+        step has a data-parallel part, so each replicate runs to the end
+        in turn.
         """
         assert replay is not None
-        Rn = len(sub)
-        speeds = ctx.speeds[np.asarray(sub, dtype=np.int64)]
-        generators = [ctx.generators[r] for r in sub]
-        models: List[Optional[SpeedModel]] = [replay[r] for r in sub]
-        acc = _LockstepAccumulator(self.strategy_name, Rn, p, n, ctx.want_events)
-        remaining = np.full(Rn, total, dtype=np.int64)
-        items: List[Optional[List[int]]] = [
-            list(range(total)) if self._random else None for _ in sub
-        ]
-        caches = _BlockCaches(self._kernel, Rn, p, n) if self._replicated is None else None
-        act = np.arange(Rn, dtype=np.int64)
-        while act.size:
-            now, wsel = acc.pop(act)
-            A = int(act.size)
-            if self._random:
-                vals = np.empty(A, dtype=np.int64)
-                for g, r in enumerate(act.tolist()):
-                    lst = items[r]
-                    assert lst is not None
-                    size = int(remaining[r])
+        acc = _LockstepAccumulator(
+            self.strategy_name,
+            ctx.speeds[np.asarray(sub, dtype=np.int64)],
+            [replay[r] for r in sub],
+            n,
+            ctx.want_events,
+        )
+        for x, r in enumerate(sub):
+            heap = acc.heaps[x]
+            generator = ctx.generators[r]
+            items = list(range(total)) if self._random else None
+            caches = _BlockCaches(self._kernel, 1, p, n) if self._replicated is None else None
+            for size in range(total, 0, -1):
+                now, _, w = heapq.heappop(heap)
+                if items is not None:
                     # SampleSet.draw's swap-remove, replayed in place.
-                    idx = int(generators[r].integers(size))
-                    vals[g] = lst[idx]
-                    lst[idx] = lst[size - 1]
-            else:
-                vals = total - remaining[act]
-            if caches is not None:
-                blocks = caches.ship(act, wsel, vals)
-            else:
-                assert self._replicated is not None
-                blocks = np.full(A, self._replicated, dtype=np.int64)
-            tasks = np.ones(A, dtype=np.int64)
-            durations = _event_durations(speeds, models, act, wsel, tasks)
-            acc.commit(act, wsel, now, durations, blocks, tasks)
-            remaining[act] -= 1
-            act = act[remaining[act] > 0]
+                    idx = int(generator.integers(size))
+                    task = items[idx]
+                    items[idx] = items[size - 1]
+                else:
+                    task = total - size
+                if caches is None:
+                    assert self._replicated is not None
+                    acc.commit(x, now, w, self._replicated, 1)
+                else:
+                    acc.commit(x, now, w, caches.ship(0, w, task), 1)
         return acc.finish()
 
     def _operand_keys(
@@ -575,445 +541,361 @@ class _TaskByTaskKernel(VectorKernel):
 # Lockstep machinery (Dynamic* strategies)
 # ---------------------------------------------------------------------------
 
-_SEQ_HUGE = np.iinfo(np.int64).max
 
+def _flat_view(array: np.ndarray) -> memoryview:
+    """1-D memoryview over contiguous *array*, for per-element Python access.
 
-def _select_workers(
-    times: np.ndarray, seqs: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-replicate heap pop: ``(now, worker)`` minimizing (time, seq)."""
-    now = times.min(axis=1)
-    masked = np.where(times == now[:, None], seqs, _SEQ_HUGE)
-    return now, masked.argmin(axis=1)
-
-
-def _batched_dim_draws(
-    generators: Sequence[np.random.Generator],
-    act: np.ndarray,
-    need: np.ndarray,
-    sizes: np.ndarray,
-) -> np.ndarray:
-    """Per-replicate uniform indices for this step's dimension draws.
-
-    *need* is ``(dims, A)`` (which dimensions each active replicate grows)
-    and *sizes* the matching unknown-set sizes.  Each draw is a plain
-    scalar ``Generator.integers`` call in dimension order — the exact
-    calls the scalar strategy makes, and several times cheaper than
-    numpy's array-of-highs path at 1-3 elements.
+    Indexing it costs half a numpy scalar access and yields plain Python
+    ints and bools, which is what the per-replicate passes need.
     """
-    dims = need.shape[0]
-    need_rows = need.tolist()
-    sizes_rows = sizes.tolist()
-    out_rows = [[-1] * need.shape[1] for _ in range(dims)]
-    act_l = act.tolist()
-    # Dimension-major is safe: each generator only ever serves its own
-    # replicate, so its stream still sees the draws in dimension order.
-    for dim in range(dims):
-        nr, sr, ol = need_rows[dim], sizes_rows[dim], out_rows[dim]
-        for g, needed in enumerate(nr):
-            if needed:
-                ol[g] = int(generators[act_l[g]].integers(sr[g]))
-    return np.array(out_rows, dtype=np.int64)
+    return memoryview(array.reshape(-1))
 
 
-def _draw_values(
-    items: np.ndarray,
-    order: np.ndarray,
-    cnt: np.ndarray,
-    n: int,
-    act: np.ndarray,
-    wsel: np.ndarray,
-    need: np.ndarray,
-    draw_idx: np.ndarray,
-) -> np.ndarray:
-    """Swap-remove the drawn indices out of each unknown set, vectorized.
-
-    Mirrors ``IndexKnowledge.draw_unknown``: the drawn value is recorded
-    in insertion order (*order*) and the unknown buffer (*items*) closes
-    the hole with its last live element.  Returns the ``(dims, A)`` drawn
-    values (-1 where nothing was drawn).
-    """
-    dims = need.shape[0]
-    vals = np.full(need.shape, -1, dtype=np.int64)
-    for dim in range(dims):
-        grp = np.flatnonzero(need[dim])
-        if grp.size == 0:
-            continue
-        rg = act[grp]
-        wg = wsel[grp]
-        size = n - cnt[dim, rg, wg]
-        ix = draw_idx[dim, grp]
-        v = items[dim, rg, wg, ix]
-        items[dim, rg, wg, ix] = items[dim, rg, wg, size - 1]
-        vals[dim, grp] = v
-        order[dim, rg, wg, cnt[dim, rg, wg]] = v
-        cnt[dim, rg, wg] += 1
-    return vals
+def _swap_remove(items: memoryview, base: int, size: int, generator: np.random.Generator) -> int:
+    """``SampleSet.draw`` over ``items[base : base + size]``: same call, same swap."""
+    x = base + int(generator.integers(size))
+    value: int = items[x]
+    items[x] = items[base + size - 1]
+    return value
 
 
 class _BlockCaches:
-    """(R, p, ·) boolean per-worker block caches for single-task draws.
+    """``(R, p, ·)`` boolean per-worker block caches for single-task draws.
 
     Backs both the random task-by-task strategies under dynamic speeds
-    and phase 2 of the two-phase strategies: a worker's holdings are an
-    arbitrary block subset, and ``ship`` counts (then records) the blocks
-    a drawn task is missing — exactly ``BlockCache.add``'s semantics,
-    batched across the step's active replicates.
+    and phase 2 of the two-phase strategies under dynamic speeds: a
+    worker's holdings are an arbitrary block subset, and :meth:`ship`
+    counts (then records) the blocks a drawn task is missing — exactly
+    ``BlockCache.add``'s semantics, one event at a time.
     """
 
     def __init__(self, kind: str, R: int, p: int, n: int) -> None:
         self._outer = kind == "outer"
         self._n = n
-        if self._outer:
-            self.a = np.zeros((R, p, n), dtype=bool)
-            self.b = np.zeros((R, p, n), dtype=bool)
-            self.c: Optional[np.ndarray] = None
-        else:
-            self.a = np.zeros((R, p, n, n), dtype=bool)
-            self.b = np.zeros((R, p, n, n), dtype=bool)
-            self.c = np.zeros((R, p, n, n), dtype=bool)
+        self._p = p
+        shape = (R, p, n) if self._outer else (R, p, n, n)
+        self.a = np.zeros(shape, dtype=bool)
+        self.b = np.zeros(shape, dtype=bool)
+        self.c: Optional[np.ndarray] = None if self._outer else np.zeros(shape, dtype=bool)
+        self._views = [_flat_view(cache) for cache in (self.a, self.b, self.c) if cache is not None]
 
-    def ship(self, rg: np.ndarray, wg: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Newly shipped blocks per (replicate, worker, flat task) triple."""
+    def ship(self, r: int, w: int, task: int) -> int:
+        """Blocks flat *task* adds to worker *w*'s caches in replicate *r*."""
         n = self._n
         if self._outer:
-            i, j = np.divmod(vals, n)
-            blocks = (~self.a[rg, wg, i]).astype(np.int64)
-            blocks += ~self.b[rg, wg, j]
-            self.a[rg, wg, i] = True
-            self.b[rg, wg, j] = True
-            return blocks
-        assert self.c is not None
-        ij, k = np.divmod(vals, n)
-        i, j = np.divmod(ij, n)
-        blocks = (~self.a[rg, wg, i, k]).astype(np.int64)
-        blocks += ~self.b[rg, wg, k, j]
-        blocks += ~self.c[rg, wg, i, j]
-        self.a[rg, wg, i, k] = True
-        self.b[rg, wg, k, j] = True
-        self.c[rg, wg, i, j] = True
+            i, j = divmod(task, n)
+            base = (r * self._p + w) * n
+            keys: Tuple[int, ...] = (base + i, base + j)
+        else:
+            ij, k = divmod(task, n)
+            i, j = divmod(ij, n)
+            base = (r * self._p + w) * n * n
+            keys = (base + i * n + k, base + k * n + j, base + i * n + j)
+        blocks = 0
+        for view, key in zip(self._views, keys):
+            if not view[key]:
+                view[key] = True
+                blocks += 1
         return blocks
 
 
 class _LockstepAccumulator:
-    """Shared per-step bookkeeping of the lockstep kernels.
+    """Per-replicate event queues and accounting of the lockstep kernels.
 
-    Owns the event-queue mirror ((R, p) times + insertion sequences), the
-    per-worker accumulators and the livelock guard, and finalizes the
-    per-replicate :class:`KernelRun` list — everything that is identical
-    between the outer and matrix lockstep loops and the task-by-task
+    Each replicate keeps the scalar engine's own structures: a ``heapq`` of
+    ``(time, seq, worker)`` (:attr:`heaps`, seeded with every worker
+    requesting at time 0) and plain-int per-worker accumulators.
+    :meth:`commit` accounts one assignment as the scalar loop does — the
+    same ``tasks / speed`` division or ``model.duration`` call on the
+    replicate's own stream, makespan rule, livelock guard and FIFO
+    sequence — and :meth:`finish` folds every replicate into a
+    :class:`KernelRun`.  Shared by the lockstep loop and the task-by-task
     kernel's dynamic-speed path.
     """
 
-    def __init__(self, strategy_name: str, R: int, p: int, n: int, want_events: bool) -> None:
+    def __init__(
+        self,
+        strategy_name: str,
+        speeds: np.ndarray,
+        replay: Optional[Sequence[Optional[SpeedModel]]],
+        n: int,
+        want_events: bool,
+    ) -> None:
+        R, p = int(speeds.shape[0]), int(speeds.shape[1])
         self.name = strategy_name
-        self.times = np.zeros((R, p), dtype=np.float64)
-        self.seqs = np.tile(np.arange(p, dtype=np.int64), (R, 1))
-        self.next_seq = np.full(R, p, dtype=np.int64)
-        self.blocks_acc = np.zeros((R, p), dtype=np.int64)
-        self.tasks_acc = np.zeros((R, p), dtype=np.int64)
-        self.makespan = np.zeros(R, dtype=np.float64)
-        self.n_events = np.zeros(R, dtype=np.int64)
-        self.streak = np.zeros(R, dtype=np.int64)
-        self.budget = 4 * (3 * n + 2) * p + 1024
-        self.events: Optional[List[List[Event]]] = (
+        self.speeds = speeds
+        self._speed_rows: List[List[float]] = speeds.tolist()
+        self._models: List[Optional[SpeedModel]] = [None] * R if replay is None else list(replay)
+        self.heaps: List[List[Tuple[float, int, int]]] = [
+            [(0.0, w, w) for w in range(p)] for _ in range(R)
+        ]
+        self._next_seq = [p] * R
+        self._blocks = [[0] * p for _ in range(R)]
+        self._tasks = [[0] * p for _ in range(R)]
+        self._makespan = [0.0] * R
+        self._n_events = [0] * R
+        self._streak = [0] * R
+        self._budget = 4 * (3 * n + 2) * p + 1024
+        self._events: Optional[List[List[Event]]] = (
             [[] for _ in range(R)] if want_events else None
         )
 
-    def pop(self, act: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return _select_workers(self.times[act], self.seqs[act])
-
-    def commit(
-        self,
-        act: np.ndarray,
-        wsel: np.ndarray,
-        now: np.ndarray,
-        durations: np.ndarray,
-        blocks: np.ndarray,
-        tasks: np.ndarray,
-        phases: Optional[np.ndarray] = None,
-    ) -> None:
-        """Account one popped event per active replicate, scalar-exactly."""
-        finish = now + durations
-        progressed = tasks > 0
-        grew = act[progressed]
-        self.makespan[grew] = np.maximum(self.makespan[grew], finish[progressed])
-        self.streak[act] = np.where(progressed, 0, self.streak[act] + 1)
-        if bool((self.streak[act] > self.budget).any()):
-            worst = int(self.streak[act].max())
-            raise LivelockError(
-                f"{worst} consecutive zero-task assignments "
-                f"(strategy={self.name}, remaining tasks unallocated)"
-            )
-        self.blocks_acc[act, wsel] += blocks
-        self.tasks_acc[act, wsel] += tasks
-        self.n_events[act] += 1
-        self.times[act, wsel] = finish
-        self.seqs[act, wsel] = self.next_seq[act]
-        self.next_seq[act] += 1
-        if self.events is not None:
-            now_l = now.tolist()
-            w_l = wsel.tolist()
-            b_l = blocks.tolist()
-            t_l = tasks.tolist()
-            d_l = durations.tolist()
-            ph_l = None if phases is None else phases.tolist()
-            for g, r in enumerate(act.tolist()):
-                self.events[r].append(
-                    (now_l[g], w_l[g], b_l[g], t_l[g], d_l[g], 1 if ph_l is None else ph_l[g])
+    def commit(self, r: int, now: float, w: int, blocks: int, tasks: int, phase: int = 1) -> None:
+        """Account replicate *r*'s assignment to *w* popped at *now*, scalar-exactly."""
+        model = self._models[r]
+        duration = tasks / self._speed_rows[r][w] if model is None else model.duration(w, tasks)
+        finish = now + duration
+        if tasks > 0:
+            if finish > self._makespan[r]:
+                self._makespan[r] = finish
+            self._streak[r] = 0
+        else:
+            streak = self._streak[r] + 1
+            if streak > self._budget:
+                raise LivelockError(
+                    f"{streak} consecutive zero-task assignments "
+                    f"(strategy={self.name}, remaining tasks unallocated)"
                 )
+            self._streak[r] = streak
+        self._blocks[r][w] += blocks
+        self._tasks[r][w] += tasks
+        self._n_events[r] += 1
+        seq = self._next_seq[r]
+        heapq.heappush(self.heaps[r], (finish, seq, w))
+        self._next_seq[r] = seq + 1
+        if self._events is not None:
+            self._events[r].append((now, w, blocks, tasks, duration, phase))
 
-    def fork(
-        self, state: "_OuterDynState | _MatrixDynState", speeds: np.ndarray, r: int
-    ) -> "_Fork":
-        """Replicate *r*'s lockstep state, as a phase-2 close-out reads it."""
+    def fork(self, state: "_DynState", r: int, now: float, seq: int, w: int) -> "_Fork":
+        """Replicate *r*'s state at the crossing pop of *w* (``now``, ``seq``).
+
+        The pending event times and FIFO sequences come from the
+        replicate's heap plus the popped event, which phase 2 re-serves.
+        """
+        p = len(self._blocks[r])
+        times = [0.0] * p
+        seqs = [0] * p
+        for t, s, u in self.heaps[r]:
+            times[u] = t
+            seqs[u] = s
+        times[w] = now
+        seqs[w] = seq
+        order, cnt = state.knowledge(r)
         return _Fork(
-            speeds[r],
-            self.times[r],
-            self.seqs[r],
-            state.processed[r],
-            state.order[:, r],
-            state.cnt[:, r],
-            self.blocks_acc[r],
-            self.tasks_acc[r],
-            float(self.makespan[r]),
-            int(self.n_events[r]),
-            None if self.events is None else self.events[r],
+            self.speeds[r],
+            np.array(times, dtype=np.float64),
+            np.array(seqs, dtype=np.int64),
+            ~state.open[r],
+            order,
+            cnt,
+            np.array(self._blocks[r], dtype=np.int64),
+            np.array(self._tasks[r], dtype=np.int64),
+            self._makespan[r],
+            self._n_events[r],
+            None if self._events is None else self._events[r],
         )
 
     def finish(self) -> List[KernelRun]:
-        runs: List[KernelRun] = []
-        for r in range(self.times.shape[0]):
-            runs.append(
-                KernelRun(
-                    self.blocks_acc[r].copy(),
-                    self.tasks_acc[r].copy(),
-                    float(self.makespan[r]),
-                    int(self.n_events[r]),
-                    None if self.events is None else self.events[r],
-                )
+        return [
+            KernelRun(
+                np.array(self._blocks[r], dtype=np.int64),
+                np.array(self._tasks[r], dtype=np.int64),
+                self._makespan[r],
+                self._n_events[r],
+                None if self._events is None else self._events[r],
             )
-        return runs
+            for r in range(len(self.heaps))
+        ]
 
 
-class _OuterDynState:
-    """Vectorized DynamicOuter phase-1 state: knowledge + processed bitmap.
+class _DynState:
+    """Phase-1 state of R Dynamic* replicates: knowledge and task bitmap.
 
-    One :meth:`step` performs the scalar ``_dynamic_assign`` for a group
-    of active replicates (two uniform dimension draws, cross marking over
-    the previous index sets, complete-knowledge absorption) and keeps
-    ``remaining`` in sync: DynamicOuter, and phase 1 of
-    DynamicOuter2Phases.
+    Per worker and index dimension, the scalar ``IndexKnowledge`` keeps an
+    unknown-index sampler (swap-remove layout) and the known indices in
+    insertion order.  Here they are ``(R * p, dims, n)`` int64 buffers,
+    ``items`` and ``order``, with the known counts in plain-int lists.
+    Draws run per replicate in plain Python (:meth:`draw`); each step then
+    marks every pending request's cross or shell in one flat-index
+    gather/scatter across replicates (:meth:`mark`).
+
+    ``order`` stores each known index times its stride in the flat task
+    bitmap (``n**(dims - 1 - dim)``), so a cross or shell is sums of
+    gathered spans.  The bitmap holds ``True`` for unallocated tasks plus
+    one extra ``False`` cell at index ``sentinel`` (``R * n**dims``).
+    Every ``order`` slot past a worker's count holds ``sentinel``, as does
+    every record field of a dimension that drew nothing, so any index a
+    padded span builds is at least ``sentinel``: the clipped gather reads
+    it as allocated and it marks nothing, with no validity masks.
+    ``order`` has one spare column, so ``width + 1`` slots can always be
+    gathered.  A step's draws enter ``order`` only after its marking,
+    which therefore spans the previous index sets.
     """
+
+    dims = 0
 
     def __init__(self, R: int, p: int, n: int) -> None:
+        dims = self.dims
+        cells = n**dims
         self.n = n
-        self.processed = np.zeros((R, n, n), dtype=bool)
-        self.remaining = np.full(R, n * n, dtype=np.int64)
-        # Two knowledge dimensions (rows of a, columns of b) per worker:
-        # unknown-set buffers, insertion-order buffers and known counts.
-        self.items = np.broadcast_to(np.arange(n, dtype=np.int64), (2, R, p, n)).copy()
-        self.order = np.zeros((2, R, p, n), dtype=np.int64)
-        self.cnt = np.zeros((2, R, p), dtype=np.int64)
+        self.p = p
+        self.sentinel = R * cells
+        self._open = np.ones(R * cells + 1, dtype=bool)
+        self._open[-1] = False
+        self.open = self._open[:-1].reshape((R,) + (n,) * dims)
+        self.remaining = [cells] * R
+        self.items = np.broadcast_to(np.arange(n, dtype=np.int64), (R * p, dims, n)).copy()
+        self.order = np.full((R * p, dims, n + 1), self.sentinel, dtype=np.int64)
+        self.cnt = [[0] * (R * p) for _ in range(dims)]
+        self._items = _flat_view(self.items)
+        self._dims = np.arange(dims)
+        self._scales = (n ** np.arange(dims - 1, -1, -1))[:, None, None]
 
-    def step(
-        self,
-        generators: Sequence[np.random.Generator],
-        act: np.ndarray,
-        wsel: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def absorb(self, r: int) -> int:
+        """``mark_all`` for replicate *r*: every remaining task, allocated."""
+        tasks = self.remaining[r]
+        self.open[r] = False
+        self.remaining[r] = 0
+        return tasks
+
+    def knowledge(self, r: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Replicate *r*'s ``(dims, p, n)`` known indices and ``(dims, p)`` counts."""
+        lo = r * self.p
+        hi = lo + self.p
+        cnt = np.array([counts[lo:hi] for counts in self.cnt], dtype=np.int64)
+        return self.order[lo:hi, :, : self.n].transpose(1, 0, 2) // self._scales, cnt
+
+    def draw(self, r: int, w: int, generator: np.random.Generator, pending: List[int]) -> Optional[int]:
+        """Draw worker *w*'s new indices; return the shipped blocks.
+
+        Extends *pending* by the request's marking record, or returns
+        ``None`` without drawing when *w*'s knowledge is complete.
+        """
+        raise NotImplementedError
+
+    def mark(self, pending: List[int]) -> List[int]:
+        """Mark every pending request at once; newly allocated tasks each."""
+        raise NotImplementedError
+
+    def _scatter(self, flat: np.ndarray, rec: np.ndarray) -> List[int]:
+        """Allocate the open cells of *flat* ``(G, L)``; count each row.
+
+        Then records' draws join ``order`` at the previous counts (an
+        undrawn dimension rewrites the sentinel of its spare column).
+        """
+        fresh = self._open.take(flat, mode="clip")
+        self._open[flat[fresh]] = False
+        dims = self.dims
+        self.order[rec[:, :1], self._dims, rec[:, 1 : 1 + dims]] = rec[:, 1 + dims : 1 + 2 * dims]
+        counts: List[int] = fresh.sum(axis=1).tolist()
+        return counts
+
+
+class _OuterDynState(_DynState):
+    """DynamicOuter phase 1: rows of ``a`` and columns of ``b``, cross marking.
+
+    DynamicOuter, and phase 1 of DynamicOuter2Phases.  A marking record
+    is ``key, |I|, |J|, i n, j, base + i n, base + j``, where ``key`` is
+    ``r * p + w`` and ``base`` is ``r * n**2``.
+    """
+
+    dims = 2
+
+    def draw(self, r: int, w: int, generator: np.random.Generator, pending: List[int]) -> Optional[int]:
         n = self.n
-        A = int(act.size)
-        prev = self.cnt[:, act, wsel]  # (2, A) counts before this step's draws
-        complete = (prev[0] >= n) & (prev[1] >= n)
-        tasks = np.zeros(A, dtype=np.int64)
-        for g in np.flatnonzero(complete).tolist():
-            r = int(act[g])
-            tasks[g] = self.remaining[r]
-            self.processed[r] = True
-        need = np.empty((2, A), dtype=bool)
-        need[0] = ~complete & (prev[0] < n)
-        need[1] = ~complete & (prev[1] < n)
-        sizes = n - prev
-        draw_idx = _batched_dim_draws(generators, act, need, sizes)
-        vals = _draw_values(self.items, self.order, self.cnt, n, act, wsel, need, draw_idx)
-        iv, jv = vals[0], vals[1]
-        # Cross marking, three disjoint pieces (center, row arm over the
-        # previous columns, column arm over the previous rows).
-        center = np.flatnonzero(need[0] & need[1])
-        if center.size:
-            rg = act[center]
-            fresh = ~self.processed[rg, iv[center], jv[center]]
-            self.processed[rg, iv[center], jv[center]] = True
-            tasks[center] += fresh.astype(np.int64)
-        tasks += _mark_arm(
-            self.processed, self.order[1], act, wsel, need[0] & (prev[1] > 0), prev[1], iv, axis=0
-        )
-        tasks += _mark_arm(
-            self.processed, self.order[0], act, wsel, need[1] & (prev[0] > 0), prev[0], jv, axis=1
-        )
-        blocks = need[0].astype(np.int64) + need[1].astype(np.int64)
-        self.remaining[act] -= tasks
-        return blocks, tasks
+        key = r * self.p + w
+        cnt_i, cnt_j = self.cnt
+        ci = cnt_i[key]
+        cj = cnt_j[key]
+        if ci == n and cj == n:
+            return None
+        big = self.sentinel
+        i = j = row = col = big
+        base = r * n * n
+        at = 2 * key * n
+        if ci < n:
+            i = _swap_remove(self._items, at, n - ci, generator) * n
+            row = base + i
+            cnt_i[key] = ci + 1
+        if cj < n:
+            j = _swap_remove(self._items, at + n, n - cj, generator)
+            col = base + j
+            cnt_j[key] = cj + 1
+        pending += (key, ci, cj, i, j, row, col)
+        return (ci < n) + (cj < n)
+
+    def mark(self, pending: List[int]) -> List[int]:
+        rec = np.array(pending, dtype=np.int64).reshape(-1, 7)
+        width = max(max(pending[1::7]), max(pending[2::7]))
+        span = self.order[rec[:, 0], :, : width + 1]
+        span[:, 1, width] = rec[:, 4]  # J plus the new j
+        # The cross: (i, J + j), centre included, then (I, j) with I's
+        # spare slot as padding.
+        flat = rec[:, 5:7, None] + span[:, ::-1]
+        return self._scatter(flat.reshape(len(rec), -1), rec)
 
 
-def _mark_arm(
-    processed: np.ndarray,
-    arm_order: np.ndarray,
-    act: np.ndarray,
-    wsel: np.ndarray,
-    grp_mask: np.ndarray,
-    arm_counts: np.ndarray,
-    fixed: np.ndarray,
-    axis: int,
-) -> np.ndarray:
-    """Mark one arm of the DynamicOuter cross across replicates.
+class _MatrixDynState(_DynState):
+    """DynamicMatrix phase 1: index sets I, J, K, shell marking.
 
-    For every replicate in *grp_mask*, marks the unprocessed tasks pairing
-    the freshly drawn index *fixed* against the worker's previously-known
-    indices of the other dimension (*arm_order* rows, *arm_counts* live
-    prefix lengths).  Rows across replicates are padded to the longest
-    prefix and masked.  Returns the newly-marked count per active slot.
-    """
-    out = np.zeros(act.size, dtype=np.int64)
-    grp = np.flatnonzero(grp_mask)
-    if grp.size == 0:
-        return out
-    rg = act[grp]
-    wg = wsel[grp]
-    width = int(arm_counts[grp].max())
-    pad = arm_order[rg, wg, :width]
-    valid = np.arange(width) < arm_counts[grp][:, None]
-    rep = np.broadcast_to(rg[:, None], pad.shape)
-    fix = np.broadcast_to(fixed[grp][:, None], pad.shape)
-    if axis == 0:
-        current = processed[rep, fix, pad]
-    else:
-        current = processed[rep, pad, fix]
-    fresh = valid & ~current
-    if axis == 0:
-        processed[rep[fresh], fix[fresh], pad[fresh]] = True
-    else:
-        processed[rep[fresh], pad[fresh], fix[fresh]] = True
-    out[grp] = fresh.sum(axis=1)
-    return out
-
-
-class _MatrixDynState:
-    """Vectorized DynamicMatrix phase-1 state: I/J/K knowledge + cube bitmap.
-
-    As :class:`_OuterDynState`, but with three dimensions, rectangle-growth
-    block accounting and shell marking: DynamicMatrix, and phase 1 of
-    DynamicMatrix2Phases.
+    DynamicMatrix, and phase 1 of DynamicMatrix2Phases.  A marking record
+    is ``key, |I|, |J|, |K|, i n**2, j n, k, base + i n**2, base + j n,
+    base + k`` with ``base = r * n**3``, as in :class:`_OuterDynState`.
     """
 
-    def __init__(self, R: int, p: int, n: int) -> None:
-        self.n = n
-        self.processed = np.zeros((R, n, n, n), dtype=bool)
-        self.remaining = np.full(R, n**3, dtype=np.int64)
-        self.items = np.broadcast_to(np.arange(n, dtype=np.int64), (3, R, p, n)).copy()
-        self.order = np.zeros((3, R, p, n), dtype=np.int64)
-        self.cnt = np.zeros((3, R, p), dtype=np.int64)
+    dims = 3
 
-    def step(
-        self,
-        generators: Sequence[np.random.Generator],
-        act: np.ndarray,
-        wsel: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def draw(self, r: int, w: int, generator: np.random.Generator, pending: List[int]) -> Optional[int]:
         n = self.n
-        A = int(act.size)
-        prev = self.cnt[:, act, wsel]  # (3, A): |I|, |J|, |K| before the draws
-        complete = (prev >= n).all(axis=0)
-        tasks = np.zeros(A, dtype=np.int64)
-        for g in np.flatnonzero(complete).tolist():
-            r = int(act[g])
-            tasks[g] = self.remaining[r]
-            self.processed[r] = True
-        need = ~complete & (prev < n)  # (3, A), draw order i, j, k
-        sizes = n - prev
-        draw_idx = _batched_dim_draws(generators, act, need, sizes)
-        vals = _draw_values(self.items, self.order, self.cnt, n, act, wsel, need, draw_idx)
-        grew = need.astype(np.int64)
-        # Shipped blocks: growth of the A (I x K), B (K x J), C (I x J)
-        # rectangles — the vectorized _grown_blocks arithmetic.
-        blocks = (
-            ((prev[0] + grew[0]) * (prev[2] + grew[2]) - prev[0] * prev[2])
-            + ((prev[2] + grew[2]) * (prev[1] + grew[1]) - prev[2] * prev[1])
-            + ((prev[0] + grew[0]) * (prev[1] + grew[1]) - prev[0] * prev[1])
-        )
-        # Shell marking: three disjoint slabs of the grown cube.
-        grown_j = prev[1] + grew[1]
-        grown_k = prev[2] + grew[2]
-        tasks += _mark_slab(
-            self.processed, act, need[0] & (grown_j > 0) & (grown_k > 0),
-            (vals[0], 0),
-            (self.order[1], grown_j), (self.order[2], grown_k), wsel,
-        )
-        tasks += _mark_slab(
-            self.processed, act, need[1] & (prev[0] > 0) & (grown_k > 0),
-            (vals[1], 1),
-            (self.order[0], prev[0]), (self.order[2], grown_k), wsel,
-        )
-        tasks += _mark_slab(
-            self.processed, act, need[2] & (prev[0] > 0) & (prev[1] > 0),
-            (vals[2], 2),
-            (self.order[0], prev[0]), (self.order[1], prev[1]), wsel,
-        )
-        self.remaining[act] -= tasks
-        return blocks, tasks
+        key = r * self.p + w
+        cnt_i, cnt_j, cnt_k = self.cnt
+        ci = cnt_i[key]
+        cj = cnt_j[key]
+        ck = cnt_k[key]
+        if ci == n and cj == n and ck == n:
+            return None
+        big = self.sentinel
+        i = j = k = at_i = at_j = at_k = big
+        items = self._items
+        base = r * n**3
+        at = 3 * key * n
+        if ci < n:
+            i = _swap_remove(items, at, n - ci, generator) * n * n
+            at_i = base + i
+            cnt_i[key] = ci + 1
+        if cj < n:
+            j = _swap_remove(items, at + n, n - cj, generator) * n
+            at_j = base + j
+            cnt_j[key] = cj + 1
+        if ck < n:
+            k = _swap_remove(items, at + 2 * n, n - ck, generator)
+            at_k = base + k
+            cnt_k[key] = ck + 1
+        pending += (key, ci, cj, ck, i, j, k, at_i, at_j, at_k)
+        # Shipped blocks: growth of the A (I x K), B (K x J) and C (I x J)
+        # rectangles, as _grown_blocks computes them.
+        gi, gj, gk = ci + (ci < n), cj + (cj < n), ck + (ck < n)
+        return (gi * gk - ci * ck) + (gk * gj - ck * cj) + (gi * gj - ci * cj)
 
-
-def _mark_slab(
-    processed: np.ndarray,
-    act: np.ndarray,
-    grp_mask: np.ndarray,
-    fixed: Tuple[np.ndarray, int],
-    span_a: Tuple[np.ndarray, np.ndarray],
-    span_b: Tuple[np.ndarray, np.ndarray],
-    wsel: np.ndarray,
-) -> np.ndarray:
-    """Mark one DynamicMatrix shell slab across replicates.
-
-    The slab fixes one cube axis to a freshly drawn index and spans the
-    other two axes with per-worker index prefixes (padded to the longest
-    prefix across the group and masked).  The three slabs of a shell are
-    disjoint by construction, so gathers never see a sibling's scatter.
-    Returns the newly-marked count per active slot.
-    """
-    out = np.zeros(act.size, dtype=np.int64)
-    grp = np.flatnonzero(grp_mask)
-    if grp.size == 0:
-        return out
-    rg = act[grp]
-    wg = wsel[grp]
-    fixed_vals, fixed_axis = fixed
-    order_a, len_a = span_a
-    order_b, len_b = span_b
-    wa = int(len_a[grp].max())
-    wb = int(len_b[grp].max())
-    pad_a = order_a[rg, wg, :wa]  # (G, wa)
-    pad_b = order_b[rg, wg, :wb]  # (G, wb)
-    valid = (np.arange(wa) < len_a[grp][:, None])[:, :, None] & (
-        np.arange(wb) < len_b[grp][:, None]
-    )[:, None, :]
-    shape = (int(grp.size), wa, wb)
-    rep = np.broadcast_to(rg[:, None, None], shape)
-    fix = np.broadcast_to(fixed_vals[grp][:, None, None], shape)
-    a_idx = np.broadcast_to(pad_a[:, :, None], shape)
-    b_idx = np.broadcast_to(pad_b[:, None, :], shape)
-    # Map (fixed, span_a, span_b) onto cube axes (i, j, k).
-    if fixed_axis == 0:
-        i_idx, j_idx, k_idx = fix, a_idx, b_idx
-    elif fixed_axis == 1:
-        i_idx, j_idx, k_idx = a_idx, fix, b_idx
-    else:
-        i_idx, j_idx, k_idx = a_idx, b_idx, fix
-    current = processed[rep, i_idx, j_idx, k_idx]
-    fresh = valid & ~current
-    processed[rep[fresh], i_idx[fresh], j_idx[fresh], k_idx[fresh]] = True
-    out[grp] = fresh.sum(axis=(1, 2))
-    return out
+    def mark(self, pending: List[int]) -> List[int]:
+        rec = np.array(pending, dtype=np.int64).reshape(-1, 10)
+        width = max(max(pending[1::10]), max(pending[2::10]), max(pending[3::10]))
+        w1 = width + 1
+        G = len(rec)
+        span = self.order[rec[:, 0], :, :w1]
+        span[:, 1:, width] = rec[:, 5:7]  # J plus j, K plus k
+        # The shell in three disjoint slabs: the outer product's cross
+        # (i, J + j) and (I, j) times K + k, then (I, J, k).
+        cross = rec[:, 7:9, None] + span[:, 1::-1]
+        flat = np.empty((G, 3 * w1 * w1 - w1), dtype=np.int64)
+        split = 2 * w1 * w1
+        np.add(cross.reshape(G, -1, 1), span[:, 2, None, :], out=flat[:, :split].reshape(G, 2 * w1, w1))
+        np.add(
+            (span[:, 0] + rec[:, 9:10])[:, :, None],
+            span[:, 1, None, :width],
+            out=flat[:, split:].reshape(G, w1, width),
+        )
+        return self._scatter(flat, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +906,9 @@ def _mark_slab(
 class _Fork(NamedTuple):
     """One replicate's lockstep state where a two-phase member forks.
 
-    Views into the live ``(R, ...)`` arrays, taken at the crossing pop and
-    consumed before the replicate's next step; :func:`_phase2_analytic`
-    only reads them.
+    Built at the crossing pop from the replicate's heap plus the popped
+    event (:meth:`_LockstepAccumulator.fork`) and consumed before the
+    replicate's next step; :func:`_phase2_analytic` only reads it.
     """
 
     speeds: np.ndarray  # (p,) platform speeds
@@ -1050,10 +932,14 @@ class _LockstepKernel(VectorKernel):
     """Lockstep kernel for the Dynamic* strategies and their two-phase variants.
 
     Phase 1 is the Dynamic* loop of Algorithms 1 and 3, R replicates at
-    once.  A two-phase member crosses its own threshold per replicate
-    (``resolve_threshold`` replayed against the replicate's platform,
-    matching the scalar reset) the moment a request finds ``remaining <=
-    threshold`` — the same pre-dispatch check ``assign`` performs.
+    once.  Each step is one pass over the active replicates in plain
+    Python — pop the replicate's heap, draw the new indices — then one
+    fused marking of every pending cross or shell (:meth:`_DynState.mark`),
+    then the accounting pass.  A two-phase member crosses its own
+    threshold per replicate (``resolve_threshold`` replayed against the
+    replicate's platform, matching the scalar reset) the moment a request
+    finds ``remaining <= threshold`` — the same pre-dispatch check
+    ``assign`` performs.
 
     Under static speeds the member then *forks*: phase 2 assigns exactly
     one task per event at a constant ``1 / speed_w``, so its whole
@@ -1069,8 +955,8 @@ class _LockstepKernel(VectorKernel):
     Replicates on a dynamic speed model (one-member groups only) instead
     freeze their knowledge into per-worker block caches plus a
     swap-remove sampler over the surviving task ids (:meth:`_freeze`) and
-    stay in the loop, their phase-2 events advancing through the shared
-    queue beside the other replicates' phase-1 events.
+    stay in the loop, their phase-2 events advancing beside the other
+    replicates' phase-1 events.
     """
 
     def __init__(self, kind: str, strategy_name: str) -> None:
@@ -1081,15 +967,17 @@ class _LockstepKernel(VectorKernel):
         return (self._kind, prototype.n)
 
     def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
+        # Bitmap, (dims, p, n + 1) int64 index buffers twice, ~256 bytes of
+        # heap entry and accumulators per worker, and a step's marking
+        # temporaries; two-phase adds its (p, n[, n]) caches and sampler ids.
         n = prototype.n
         if self._kind == "outer":
             if not _is_two_phase(prototype):
-                return n * n + 32 * p * n + 64 * p
-            # Phase-1 state + (R, p, n) caches + sampler replay ids.
-            return 9 * n * n + 34 * p * n + 64 * p
+                return n * n + 32 * p * n + 256 * p + 64 * n
+            return 9 * n * n + 34 * p * n + 256 * p + 64 * n
         if not _is_two_phase(prototype):
-            return n**3 + 48 * p * n + 64 * p
-        return 9 * n**3 + 3 * p * n * n + 48 * p * n + 64 * p
+            return n**3 + 48 * p * n + 256 * p + 64 * n * n
+        return 9 * n**3 + 3 * p * n * n + 48 * p * n + 256 * p + 64 * n * n
 
     def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
         return self.run_group([prototype], ctx)[0]
@@ -1113,111 +1001,85 @@ class _LockstepKernel(VectorKernel):
         # The scalar strategy resolves its threshold at reset() from the
         # bound platform; replay that resolution per replicate.  -1 marks
         # a member without one (Dynamic*).
-        thresholds = np.full((M, R), -1, dtype=np.int64)
-        for m, prototype in enumerate(prototypes):
-            if _is_two_phase(prototype):
-                thresholds[m] = [prototype.resolve_threshold(pl) for pl in ctx.platforms]
+        thresholds = [
+            [prototype.resolve_threshold(pl) for pl in ctx.platforms]
+            if _is_two_phase(prototype)
+            else [-1] * R
+            for prototype in prototypes
+        ]
         name = " + ".join(dict.fromkeys(prototype.name for prototype in prototypes))
-        acc = _LockstepAccumulator(name, R, p, n, ctx.want_events)
-        state = _OuterDynState(R, p, n) if self._kind == "outer" else _MatrixDynState(R, p, n)
+        acc = _LockstepAccumulator(name, ctx.speeds, replay, n, ctx.want_events)
+        state: _DynState = _OuterDynState(R, p, n) if self._kind == "outer" else _MatrixDynState(R, p, n)
         # Members still following each replicate's phase 1, and the
         # highest threshold among them (the next possible crossing).
-        following = np.ones((M, R), dtype=bool)
-        next_cross = thresholds.max(axis=0)
-        check = bool((next_cross > 0).any())
+        following = [list(range(M)) for _ in range(R)]
+        next_cross = [max(row[r] for row in thresholds) for r in range(R)]
         forks: List[List[Optional[KernelRun]]] = [[None] * R for _ in range(M)]
-        phase2 = np.zeros(R, dtype=bool)
         p2_items: List[Optional[List[int]]] = [None] * R
         caches: Optional[_BlockCaches] = None
-        act = np.arange(R, dtype=np.int64)
-        while act.size:
-            now, wsel = acc.pop(act)
-            # Threshold check before dispatch, as assign() does.
-            crossing = act[state.remaining[act] <= next_cross[act]] if check else act[:0]
-            for r in crossing.tolist():
-                next_cross[r] = -1
-                if replay is not None and replay[r] is not None:
-                    if caches is None:
-                        caches = _BlockCaches(self._kind, R, p, n)
-                    p2_items[r] = self._freeze(state, caches, r, p)
-                    phase2[r] = True
+        heaps = acc.heaps
+        commit = acc.commit
+        draw = state.draw
+        remaining = state.remaining
+        generators = ctx.generators
+        heappop = heapq.heappop
+        act = list(range(R))
+        while act:
+            pending: List[int] = []
+            waiting: List[Tuple[int, float, int, int]] = []
+            for r in act:
+                now, seq, w = heappop(heaps[r])
+                if remaining[r] <= next_cross[r]:
+                    # Threshold check before dispatch, as assign() does.
+                    next_cross[r] = -1
+                    if replay is not None and replay[r] is not None:
+                        if caches is None:
+                            caches = _BlockCaches(self._kind, R, p, n)
+                        p2_items[r] = self._freeze(state, caches, r)
+                    else:
+                        fork = acc.fork(state, r, now, seq, w)
+                        stay = []
+                        for m in following[r]:
+                            if thresholds[m][r] < remaining[r]:
+                                stay.append(m)
+                                continue
+                            generator = generators[r]
+                            forks[m][r] = _phase2_analytic(
+                                fork, generator if M == 1 else copy.deepcopy(generator)
+                            )
+                        following[r] = stay
+                        if not stay:
+                            continue  # every member forked: the replicate leaves
+                        next_cross[r] = max(thresholds[m][r] for m in stay)
+                items = p2_items[r]
+                if items is not None:
+                    assert caches is not None
+                    # SampleSet.draw over the frozen remainder: the live
+                    # size *is* the remaining count.
+                    size = remaining[r]
+                    idx = int(generators[r].integers(size))
+                    task = items[idx]
+                    items[idx] = items[size - 1]
+                    remaining[r] = size - 1
+                    commit(r, now, w, caches.ship(r, w, task), 1, 2)
                     continue
-                fork = acc.fork(state, ctx.speeds, r)
-                crossed = following[:, r] & (thresholds[:, r] >= state.remaining[r])
-                for m in np.flatnonzero(crossed).tolist():
-                    generator = ctx.generators[r]
-                    forks[m][r] = _phase2_analytic(
-                        fork, generator if M == 1 else copy.deepcopy(generator)
-                    )
-                following[crossed, r] = False
-                next_cross[r] = thresholds[following[:, r], r].max(initial=-1)
-            if crossing.size:
-                keep = following[:, act].any(axis=0)
-                act, now, wsel = act[keep], now[keep], wsel[keep]
-                if not act.size:
-                    break
-            phases: Optional[np.ndarray] = None
-            if caches is None:
-                blocks, tasks = state.step(ctx.generators, act, wsel)
-            else:
-                blocks, tasks, phases = self._mixed_step(
-                    state, caches, p2_items, phase2, ctx, act, wsel
-                )
-            durations = _event_durations(ctx.speeds, replay, act, wsel, tasks)
-            acc.commit(act, wsel, now, durations, blocks, tasks, phases)
-            act = act[state.remaining[act] > 0]
+                blocks = draw(r, w, generators[r], pending)
+                if blocks is None:
+                    commit(r, now, w, 0, state.absorb(r))
+                else:
+                    waiting.append((r, now, w, blocks))
+            if pending:
+                for (r, now, w, blocks), tasks in zip(waiting, state.mark(pending)):
+                    remaining[r] -= tasks
+                    commit(r, now, w, blocks, tasks)
+            act = [r for r in act if remaining[r] > 0 and following[r]]
         out: List[List[KernelRun]] = []
         for row in forks:
             final = acc.finish() if any(run is None for run in row) else []
             out.append([final[r] if run is None else run for r, run in enumerate(row)])
         return out
 
-    def _mixed_step(
-        self,
-        state: "_OuterDynState | _MatrixDynState",
-        caches: _BlockCaches,
-        p2_items: List[Optional[List[int]]],
-        phase2: np.ndarray,
-        ctx: BatchContext,
-        act: np.ndarray,
-        wsel: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One step with some replicates in lockstep phase 2 (dynamic speeds)."""
-        in2 = phase2[act]
-        A = int(act.size)
-        blocks = np.zeros(A, dtype=np.int64)
-        tasks = np.zeros(A, dtype=np.int64)
-        g1 = np.flatnonzero(~in2)
-        if g1.size:
-            b1, t1 = state.step(ctx.generators, act[g1], wsel[g1])
-            blocks[g1] = b1
-            tasks[g1] = t1
-        g2 = np.flatnonzero(in2)
-        phases = np.ones(A, dtype=np.int64)
-        phases[g2] = 2
-        rg = act[g2]
-        vals = np.empty(int(g2.size), dtype=np.int64)
-        for x, r in enumerate(rg.tolist()):
-            lst = p2_items[r]
-            assert lst is not None
-            # SampleSet.draw over the frozen remainder: the live size *is*
-            # the remaining count.
-            size = int(state.remaining[r])
-            idx = int(ctx.generators[r].integers(size))
-            vals[x] = lst[idx]
-            lst[idx] = lst[size - 1]
-        blocks[g2] = caches.ship(rg, wsel[g2], vals)
-        tasks[g2] = 1
-        state.remaining[rg] -= 1
-        return blocks, tasks, phases
-
-    def _freeze(
-        self,
-        state: "_OuterDynState | _MatrixDynState",
-        caches: _BlockCaches,
-        r: int,
-        p: int,
-    ) -> List[int]:
+    def _freeze(self, state: _DynState, caches: _BlockCaches, r: int) -> List[int]:
         """Scalar ``_enter_phase2`` for replicate *r*.
 
         Returns the frozen sampler items (the pool's unprocessed ids in
@@ -1225,21 +1087,19 @@ class _LockstepKernel(VectorKernel):
         phase-1 index sets — the index-set product for matmul, the plain
         index sets for the outer product.
         """
-        order, cnt = state.order, state.cnt
-        if self._kind == "outer":
-            for w in range(p):
-                caches.a[r, w, order[0, r, w, : int(cnt[0, r, w])]] = True
-                caches.b[r, w, order[1, r, w, : int(cnt[1, r, w])]] = True
-        else:
-            assert caches.c is not None
-            for w in range(p):
-                rows = order[0, r, w, : int(cnt[0, r, w])]
-                cols = order[1, r, w, : int(cnt[1, r, w])]
-                deps = order[2, r, w, : int(cnt[2, r, w])]
+        order, cnt = state.knowledge(r)
+        for w in range(state.p):
+            rows = order[0, w, : int(cnt[0, w])]
+            cols = order[1, w, : int(cnt[1, w])]
+            if caches.c is None:
+                caches.a[r, w, rows] = True
+                caches.b[r, w, cols] = True
+            else:
+                deps = order[2, w, : int(cnt[2, w])]
                 caches.a[r, w][np.ix_(rows, deps)] = True
                 caches.b[r, w][np.ix_(deps, cols)] = True
                 caches.c[r, w][np.ix_(rows, cols)] = True
-        flat: List[int] = np.flatnonzero(~state.processed[r].reshape(-1)).tolist()
+        flat: List[int] = np.flatnonzero(state.open[r].reshape(-1)).tolist()
         return flat
 
 

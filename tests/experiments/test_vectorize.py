@@ -134,7 +134,11 @@ class TestBenchScaling:
                 assert f"scaling_reps{reps:02d}_{engine}" in names
         assert "twophase_beta_sweep_serial" in names
         assert "twophase_beta_sweep_vectorized" in names
-        assert len(names) == 14
+        for label in ("outer", "matrix"):
+            for reps in (2, 5, 10):
+                for engine in ("serial", "vectorized"):
+                    assert f"lockstep_{label}_reps{reps:02d}_{engine}" in names
+        assert len(names) == 26
 
     def test_scaling_suite_records_engine_params(self):
         by_name = {wl.name: wl for wl in build_suite("scaling")}
@@ -143,6 +147,15 @@ class TestBenchScaling:
         serial = by_name["twophase_beta_sweep_serial"].params
         assert serial["engine"] == "scalar"
         assert serial["vectorize_fallback"] == "forced"
+        lockstep = by_name["lockstep_matrix_reps05_vectorized"].params
+        assert (lockstep["strategy"], lockstep["n"], lockstep["p"], lockstep["reps"]) == (
+            "DynamicMatrix",
+            40,
+            100,
+            5,
+        )
+        assert lockstep["engine"] == "vectorized"
+        assert by_name["lockstep_outer_reps02_serial"].params["engine"] == "scalar"
 
     def test_derive_metrics_two_phase_beta_sweep_speedup(self):
         entries = {
@@ -193,6 +206,25 @@ class TestBenchScaling:
         for row in curve:
             assert row["vectorized_speedup"] == pytest.approx(5.0)
             assert row["parallel_speedup"] == pytest.approx(2.0)
+
+    def test_derive_metrics_lockstep_curve(self):
+        entries = {}
+        for label in ("outer", "matrix"):
+            for reps in (2, 5, 10):
+                entries[f"lockstep_{label}_reps{reps:02d}_serial"] = self._entry(1.0 * reps)
+                entries[f"lockstep_{label}_reps{reps:02d}_vectorized"] = self._entry(0.25 * reps)
+        del entries["lockstep_matrix_reps10_vectorized"]  # an incomplete pair is skipped
+        curve = _derive_metrics(entries, cpu_count=4)["lockstep_curve"]
+        assert [(row["strategy"], row["reps"]) for row in curve] == [
+            ("DynamicOuter", 2),
+            ("DynamicOuter", 5),
+            ("DynamicOuter", 10),
+            ("DynamicMatrix", 2),
+            ("DynamicMatrix", 5),
+        ]
+        for row in curve:
+            assert row["vectorized_speedup"] == pytest.approx(4.0)
+            assert row["serial_s"] == pytest.approx(row["reps"])
 
     def test_derive_metrics_empty(self):
         assert _derive_metrics({}, cpu_count=4) == {}

@@ -558,3 +558,75 @@ def test_sweep_group_key():
     assert sweep_group_key(make_strategy("DynamicMatrix2Phases", 5)) == ("matrix", 5)
     assert sweep_group_key(make_strategy("RandomOuter", 8)) is None
     assert sweep_group_key(make_strategy("DynamicOuter", 8, collect_ids=True)) is None
+
+
+# -- figure-shaped batches: R = 5, one platform per replicate -----------------
+
+_FIGURE_CELLS = [("DynamicOuter", 40), ("DynamicMatrix", 12)]
+
+
+def _figure_platforms(R=5, p=20):
+    # Each replicate draws its own platform, as the figure sweeps do, so the
+    # replicates leave the lockstep loop at different steps.
+    return [Platform(uniform_speeds(p, 10, 100, rng=900 + r)) for r in range(R)]
+
+
+@pytest.mark.parametrize("name,n", _FIGURE_CELLS)
+def test_figure_shaped_batch_matches_scalar(name, n):
+    platforms = _figure_platforms()
+    ref_gens = spawn_rngs(31, len(platforms))
+    refs = [
+        simulate(make_strategy(name, n), platform, rng=g, collect_trace=True)
+        for platform, g in zip(platforms, ref_gens)
+    ]
+    assert len({ref.n_assignments for ref in refs}) > 1
+    gens = spawn_rngs(31, len(platforms))
+    gots = simulate_batch(
+        lambda: make_strategy(name, n), platforms, rngs=gens, collect_trace=True
+    )
+    for ref, got in zip(refs, gots):
+        assert_same_result(ref, got)
+    for bg, sg in zip(gens, ref_gens):
+        assert bg.bit_generator.state == sg.bit_generator.state
+
+
+@pytest.mark.parametrize("name,n", _FIGURE_CELLS)
+def test_figure_shaped_sweep_matches_scalar(name, n):
+    members = [
+        (f"{name}2Phases", n, {"beta": 1.0}),
+        (name, n, {}),
+        (f"{name}2Phases", n, {"beta": 2.5}),
+    ]
+    _assert_sweep_matches(members, _figure_platforms(), seed=37)
+
+
+def test_figure_shaped_dynamic_speeds_match_scalar():
+    # dyn.* replicates on their own platforms: some run lockstep phase 2
+    # on frozen caches while others are still in phase 1.
+    name, n, R = "DynamicOuter2Phases", 40, 5
+
+    def scenario(gens):
+        pairs = [make_scenario("dyn.20", 20, rng=g) for g in gens]
+        return [platform for platform, _ in pairs], [model for _, model in pairs]
+
+    ref_gens = spawn_rngs(41, R)
+    platforms, models = scenario(ref_gens)
+    refs = [
+        simulate(make_strategy(name, n), platform, rng=g, speed_model=model, collect_trace=True)
+        for platform, g, model in zip(platforms, ref_gens, models)
+    ]
+    gens = spawn_rngs(41, R)
+    platforms, models = scenario(gens)
+    gots = simulate_batch(
+        lambda: make_strategy(name, n),
+        platforms,
+        rngs=gens,
+        speed_models=models,
+        collect_trace=True,
+    )
+    assert len({ref.n_assignments for ref in refs}) > 1
+    for ref, got in zip(refs, gots):
+        assert {rec.phase for rec in got.trace.records} == {1, 2}
+        assert_same_result(ref, got)
+    for bg, sg in zip(gens, ref_gens):
+        assert bg.bit_generator.state == sg.bit_generator.state
