@@ -7,8 +7,10 @@
   the simulator;
 * :mod:`~repro.experiments.figures` — one generator per paper figure
   (``fig01`` ... ``fig11``, plus ``sec36`` for the Section-3.6 study);
-* :mod:`~repro.experiments.parallel` — process-parallel replicate
-  execution, bit-identical to the serial runner for any worker count;
+* :mod:`~repro.experiments.parallel` — picklable cell specs and the
+  ``run_cells`` batch entry point;
+* :mod:`~repro.experiments.external` — planning and claim-based draining
+  behind ``run --workers N`` and ``--workers-external``;
 * :mod:`~repro.experiments.bench` — the ``repro-bench`` persistent
   benchmark harness (fixed suite, JSON records, regression comparison);
 * :mod:`~repro.experiments.io` — CSV/terminal rendering of figure data;
@@ -18,7 +20,6 @@
 from repro.experiments.config import FigureData, Series
 from repro.experiments.figures import FIGURES, generate
 from repro.experiments.io import figure_to_rows, render_figure, write_csv
-from repro.experiments.parallel import parallel_average_normalized_comm
 from repro.experiments.runner import average_normalized_comm, mean_analysis_ratio
 
 __all__ = [
@@ -31,5 +32,4 @@ __all__ = [
     "figure_to_rows",
     "average_normalized_comm",
     "mean_analysis_ratio",
-    "parallel_average_normalized_comm",
 ]

@@ -4,7 +4,7 @@ The figure sweeps are dominated by the simulation engine's hot loop, so a
 perf regression there silently multiplies every experiment's runtime.  This
 module pins down a small fixed suite of workloads (engine runs at the
 paper's instance sizes, the event-queue and sampler micro-loops, a
-serial-vs-parallel replicate sweep, and cold-vs-warm roundtrips through an
+serial-vs-vectorized replicate sweep, and cold-vs-warm roundtrips through an
 in-process ``repro-serve`` instance), times them with
 :func:`repro.obs.profile.wall_time` and writes a schema-versioned JSON
 record that can be committed next to the results it contextualizes.  With
@@ -200,7 +200,6 @@ def _sweep_workload(
     n: int,
     p: int,
     reps: int,
-    workers: int,
     vectorize: "bool | str" = "auto",
 ) -> WorkloadFn:
     """Figure-style replicate sweep: *strategy_name* averaged over *reps*.
@@ -220,7 +219,6 @@ def _sweep_workload(
                 n,
                 reps,
                 seed=seed,
-                workers=workers,
                 vectorize=vectorize,
             )
 
@@ -255,7 +253,6 @@ def _beta_sweep_workload(
                         n,
                         reps,
                         seed=seed,
-                        workers=1,
                         vectorize=vectorize,
                     )
                 )
@@ -350,7 +347,7 @@ _LOCKSTEP_REPS = (2, 5, 10)
 def _scaling_suite() -> List[Workload]:
     """The replicate-count scaling sweeps plus the two-phase β sweep.
 
-    R ∈ {1, 4, 16, 64} × 3 engines for RandomMatrix; serial vs vectorized
+    R ∈ {1, 4, 16, 64} × 2 engines for RandomMatrix; serial vs vectorized
     DynamicOuter (n = 100) and DynamicMatrix (n = 40) at p = 100 and
     R ∈ {2, 5, 10}, the lockstep kernel at figure replicate counts; and a
     serial vs vectorized DynamicMatrix2Phases β sweep (n = 12, p = 20,
@@ -365,35 +362,28 @@ def _scaling_suite() -> List[Workload]:
         workloads.append(
             Workload(
                 f"scaling_reps{reps:02d}_serial",
-                {**base, "workers": 1, "vectorize": False, **_engine_params(spec, False)},
-                _sweep_workload("RandomMatrix", n, p, reps, 1, vectorize=False),
+                {**base, "vectorize": False, **_engine_params(spec, False)},
+                _sweep_workload("RandomMatrix", n, p, reps, vectorize=False),
             )
         )
         workloads.append(
             Workload(
                 f"scaling_reps{reps:02d}_vectorized",
-                {**base, "workers": 1, "vectorize": True, **_engine_params(spec, True)},
-                _sweep_workload("RandomMatrix", n, p, reps, 1, vectorize=True),
-            )
-        )
-        workloads.append(
-            Workload(
-                f"scaling_reps{reps:02d}_parallel4",
-                {**base, "workers": 4, "vectorize": "auto", **_engine_params(spec, "auto")},
-                _sweep_workload("RandomMatrix", n, p, reps, 4, vectorize="auto"),
+                {**base, "vectorize": True, **_engine_params(spec, True)},
+                _sweep_workload("RandomMatrix", n, p, reps, vectorize=True),
             )
         )
     lk_p = 100
     for label, strategy_name, lk_n in _LOCKSTEP_CELLS:
         lk_spec = StrategySpec(strategy_name, lk_n)
         for reps in _LOCKSTEP_REPS:
-            base = {"strategy": strategy_name, "n": lk_n, "p": lk_p, "reps": reps, "workers": 1}
+            base = {"strategy": strategy_name, "n": lk_n, "p": lk_p, "reps": reps}
             for engine, vectorize in (("serial", False), ("vectorized", True)):
                 workloads.append(
                     Workload(
                         f"lockstep_{label}_reps{reps:02d}_{engine}",
                         {**base, "vectorize": vectorize, **_engine_params(lk_spec, vectorize)},
-                        _sweep_workload(strategy_name, lk_n, lk_p, reps, 1, vectorize=vectorize),
+                        _sweep_workload(strategy_name, lk_n, lk_p, reps, vectorize=vectorize),
                     )
                 )
     # DynamicMatrix2Phases is the cell where vectorization pays most: the
@@ -411,7 +401,6 @@ def _scaling_suite() -> List[Workload]:
         "p": tp_p,
         "reps": tp_reps,
         "betas": list(tp_betas),
-        "workers": 1,
     }
     for engine, vectorize in (("serial", False), ("vectorized", True)):
         workloads.append(
@@ -433,9 +422,9 @@ def build_suite(suite: str = "default") -> List[Workload]:
     ``quick`` shrinks every workload to a few seconds total for CI smoke
     runs (the two share workload names so records remain comparable within
     one suite); ``scaling`` sweeps the replicate count R ∈ {1, 4, 16, 64}
-    serial vs vectorized vs parallel to chart how the batch engine and the
-    process pool amortize, and times the lockstep kernel at the figures'
-    replicate counts R ∈ {2, 5, 10}.
+    serial vs vectorized to chart how the batch engine amortizes, and
+    times the lockstep kernel at the figures' replicate counts
+    R ∈ {2, 5, 10}.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -487,21 +476,15 @@ def build_suite(suite: str = "default") -> List[Workload]:
         ),
         Workload(
             "replicate_sweep_serial",
-            {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "workers": 1, "vectorize": False,
+            {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "vectorize": False,
              **_engine_params(StrategySpec("RandomMatrix", sweep_n), False)},
-            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, 1, vectorize=False),
+            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, vectorize=False),
         ),
         Workload(
             "replicate_sweep_vectorized",
-            {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "workers": 1, "vectorize": True,
+            {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "vectorize": True,
              **_engine_params(StrategySpec("RandomMatrix", sweep_n), True)},
-            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, 1, vectorize=True),
-        ),
-        Workload(
-            "replicate_sweep_parallel4",
-            {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "workers": 4, "vectorize": False,
-             **_engine_params(StrategySpec("RandomMatrix", sweep_n), False)},
-            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, 4, vectorize=False),
+            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, vectorize=True),
         ),
         Workload(
             "store_roundtrip",
@@ -530,23 +513,18 @@ def _machine_info() -> Dict[str, Any]:
     }
 
 
-def _derive_metrics(entries: Dict[str, Any], cpu_count: Optional[int]) -> Dict[str, Any]:
+def _derive_metrics(entries: Dict[str, Any]) -> Dict[str, Any]:
     """Cross-workload metrics for a record's ``derived`` block.
 
     Pure function of the timed entries (exposed for tests):
 
-    * ``replicate_sweep_speedup`` — serial over 4-worker median;
-    * ``parallel_speedup_ok`` — the warn-only assertion that process
-      parallelism pays (speedup ≥ 1.0); ``None`` ("unmeasured") on a
-      single-CPU machine, where parallelism cannot win and the ratio says
-      nothing;
     * ``replicate_sweep_vectorized_speedup`` — serial over batch-engine
       median, the headline number of the vectorized engine;
     * ``twophase_beta_sweep_speedup`` — the same ratio for the scaling
       suite's DynamicMatrix2Phases β sweep (n = 12, p = 20, R = 256),
       pinning the two-phase kernels;
     * ``scaling_curve`` — one row per replicate count of the scaling
-      suite, with both speedups;
+      suite, serial over vectorized;
     * ``lockstep_curve`` — one row per lockstep cell and replicate count
       (DynamicOuter and DynamicMatrix at R ∈ {2, 5, 10}), serial over
       vectorized.
@@ -558,29 +536,21 @@ def _derive_metrics(entries: Dict[str, Any], cpu_count: Optional[int]) -> Dict[s
 
     derived: Dict[str, Any] = {}
     serial = median_of("replicate_sweep_serial")
-    par = median_of("replicate_sweep_parallel4")
     vec = median_of("replicate_sweep_vectorized")
-    if serial is not None and par is not None and par > 0:
-        speedup = serial / par
-        derived["replicate_sweep_speedup"] = speedup
-        derived["parallel_speedup_ok"] = None if (cpu_count or 1) <= 1 else bool(speedup >= 1.0)
     if serial is not None and vec is not None and vec > 0:
         derived["replicate_sweep_vectorized_speedup"] = serial / vec
     curve: List[Dict[str, Any]] = []
     for reps in (1, 4, 16, 64):
         s = median_of(f"scaling_reps{reps:02d}_serial")
         v = median_of(f"scaling_reps{reps:02d}_vectorized")
-        q = median_of(f"scaling_reps{reps:02d}_parallel4")
-        if s is None or v is None or q is None:
+        if s is None or v is None:
             continue
         curve.append(
             {
                 "reps": reps,
                 "serial_s": s,
                 "vectorized_s": v,
-                "parallel_s": q,
                 "vectorized_speedup": s / v if v > 0 else None,
-                "parallel_speedup": s / q if q > 0 else None,
             }
         )
     if curve:
@@ -663,14 +633,9 @@ def run_suite(
         "machine": _machine_info(),
         "workloads": entries,
     }
-    derived = _derive_metrics(entries, os.cpu_count())
+    derived = _derive_metrics(entries)
     if derived:
         record["derived"] = derived
-    if echo is not None and derived.get("parallel_speedup_ok") is False:
-        echo(
-            "  warning: parallel replicate sweep is slower than serial on a "
-            "multi-core machine"
-        )
     return record
 
 
@@ -804,9 +769,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     derived = record.get("derived", {})
-    if "replicate_sweep_speedup" in derived:
-        print(f"  replicate sweep speedup (4 workers): {derived['replicate_sweep_speedup']:.2f}x")
-        print(f"  parallel speedup gate: {_gate_word(derived)}")
     if "replicate_sweep_vectorized_speedup" in derived:
         print(
             f"  replicate sweep speedup (vectorized): "
@@ -817,20 +779,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"  two-phase beta sweep speedup (vectorized): "
             f"{derived['twophase_beta_sweep_speedup']:.2f}x"
         )
-    if derived.get("parallel_speedup_ok") is False:
-        print(
-            "warning: parallel replicate sweep is slower than serial on a "
-            "multi-core machine",
-            file=sys.stderr,
-        )
     print(f"wrote {path}")
     return 0
-
-
-def _gate_word(derived: Dict[str, Any]) -> str:
-    """``parallel_speedup_ok`` as printed: ``ok``, ``lost`` or ``unmeasured``."""
-    gate = derived.get("parallel_speedup_ok")
-    return "unmeasured" if gate is None else ("ok" if gate else "lost")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -854,12 +804,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             return "-" if value is None else f"{value:.2f}x"
 
         print(f"vectorized-vs-serial speedup: old {fmt(old_vec)}, new {fmt(new_vec)}")
-    gates = [
-        _gate_word(derived) if "parallel_speedup_ok" in derived else "-"
-        for derived in (old.get("derived", {}), new.get("derived", {}))
-    ]
-    if gates != ["-", "-"]:
-        print(f"parallel speedup gate: old {gates[0]}, new {gates[1]}")
     regressions = [r for r in rows if r["status"] == "regression"]
     if regressions:
         names = ", ".join(r["name"] for r in regressions)

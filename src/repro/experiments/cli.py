@@ -17,13 +17,16 @@ See docs/CACHING.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import List, Optional
+import tempfile
+from typing import Dict, List, Optional
 
-from repro.experiments.config import SCALES
+from repro.experiments.config import SCALES, FigureData
 from repro.experiments.figures import FIGURES, generate
 from repro.experiments.io import render_figure, write_csv
+from repro.experiments.parallel import resolve_workers
 from repro.obs.profile import wall_time
 from repro.store.cache import ResultStore
 from repro.store.orchestrator import SweepOrchestrator
@@ -53,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes for the replicate sweeps: 1 = serial (default), 0 = one per CPU;"
-        " results are bit-identical for every worker count",
+        help="processes that compute cells: 1 = serial (default), 0 = one per CPU;"
+        " N > 1 drains the planned cells through claims on --cache (or a temporary"
+        " store) with N - 1 helper processes, then assembles; outputs are"
+        " bit-identical for every worker count",
     )
     run.add_argument("--outdir", default=None, help="write tidy CSVs into this directory")
     run.add_argument("--svg", action="store_true", help="also write an SVG chart per figure (needs --outdir)")
@@ -151,39 +156,27 @@ def _open_store_and_orchestrator(
     return store, orch
 
 
-def _drain_external(
-    args: argparse.Namespace,
-    figure_ids: List[str],
-    store: ResultStore,
-    orch: Optional[SweepOrchestrator],
-) -> None:
-    """Claim-and-compute every figure's cold cells as one external worker.
+def _drain(
+    args: argparse.Namespace, figure_ids: List[str], store: ResultStore, workers: int
+) -> Dict[str, FigureData]:
+    """Plan every figure, then claim-and-compute their cells with local helpers.
 
     After this returns the store holds every planned cell (computed here,
-    by a peer, or stolen from a dead peer), so the normal per-figure loop
-    below assembles the CSVs entirely from cache hits.
+    by a helper or peer, or stolen from a dead one), so the per-figure
+    loop assembles the CSVs from cache hits.  Returns the planning output
+    of each figure whose planning pass recorded no cell.
     """
-    from repro.experiments.external import drain_figure
+    from repro.experiments.external import drain_plans, drain_summary, plan_figures
     from repro.store.claims import ClaimRegistry
     from repro.store.journal import Journal
 
+    plans = plan_figures(figure_ids, scale=args.scale, seed=args.seed, cache=store)
     registry = ClaimRegistry(store, stale_after=args.claim_stale_after)
-    journal = Journal(store)
-    for fid in figure_ids:
-        stats = drain_figure(
-            fid,
-            scale=args.scale,
-            seed=args.seed,
-            store=store,
-            claims=registry,
-            journal=journal,
-            orchestrator=orch,
-            workers=args.workers,
-        )
-        print(
-            f"   [{fid} drained as {registry.owner}: {stats.computed} computed,"
-            f" {stats.cached} from peers/cache, {registry.counts['stolen']} stolen]"
-        )
+    stats = drain_plans(
+        plans, store=store, claims=registry, journal=Journal(store), helpers=workers - 1
+    )
+    print(drain_summary(stats, registry, len(plans)))
+    return {plan.figure_id: plan.output for plan in plans if plan.output is not None}
 
 
 def _print_cache_summary(store: ResultStore) -> None:
@@ -321,32 +314,46 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     figure_ids = _resolve_figures(args.figures)
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     store, orch = _open_store_and_orchestrator(args)
-    if args.workers_external:
-        if store is None:
-            raise SystemExit("--workers-external requires --cache")
-        _drain_external(args, figure_ids, store, orch)
+    if args.workers_external and store is None:
+        raise SystemExit("--workers-external requires --cache")
+    todo: List[str] = []
     for fid in figure_ids:
         csv_path = os.path.join(args.outdir, f"{fid}_{args.scale}.csv") if args.outdir else None
         if args.resume and orch is not None and csv_path is not None and orch.completed_csv(fid, csv_path):
             print(f"   [{fid} already complete: {csv_path} (resume)]")
-            continue
-        start = wall_time()
-        fig = generate(fid, scale=args.scale, seed=args.seed, workers=args.workers, cache=store)
-        elapsed = wall_time() - start
-        if not args.quiet:
-            print(render_figure(fig))
-            print(f"   [{fid} generated in {elapsed:.1f}s at scale={args.scale}]\n")
-        if args.outdir:
-            path = write_csv(fig, os.path.join(args.outdir, f"{fid}_{args.scale}.csv"))
-            print(f"   wrote {path}")
-            if orch is not None:
-                orch.mark_done(fid, path)
-            if args.svg:
-                from repro.experiments.svgplot import write_svg
+        else:
+            todo.append(fid)
+    with contextlib.ExitStack() as stack:
+        cache = store
+        planned: Dict[str, FigureData] = {}
+        if todo and (args.workers_external or workers > 1):
+            if cache is None:
+                cache = ResultStore(stack.enter_context(tempfile.TemporaryDirectory()))
+            planned = _drain(args, todo, cache, workers)
+        for fid in todo:
+            start = wall_time()
+            fig = planned.get(fid)
+            if fig is None:
+                fig = generate(fid, scale=args.scale, seed=args.seed, cache=cache)
+            elapsed = wall_time() - start
+            if not args.quiet:
+                print(render_figure(fig))
+                print(f"   [{fid} generated in {elapsed:.1f}s at scale={args.scale}]\n")
+            if args.outdir:
+                path = write_csv(fig, os.path.join(args.outdir, f"{fid}_{args.scale}.csv"))
+                print(f"   wrote {path}")
+                if orch is not None:
+                    orch.mark_done(fid, path)
+                if args.svg:
+                    from repro.experiments.svgplot import write_svg
 
-                svg_path = write_svg(fig, os.path.join(args.outdir, f"{fid}_{args.scale}.svg"))
-                print(f"   wrote {svg_path}")
+                    svg_path = write_svg(fig, os.path.join(args.outdir, f"{fid}_{args.scale}.svg"))
+                    print(f"   wrote {svg_path}")
     if store is not None:
         _print_cache_summary(store)
     return 0

@@ -8,10 +8,10 @@ ext02     overlap model: slowdown vs bandwidth and prefetch depth
 ext03     Random baselines vs their coupon-collector closed form
 ========  ==================================================================
 
-The generators accept the ``workers`` and ``cache`` keywords every figure
-generator takes, for interface uniformity with
-:func:`repro.experiments.figures.generate`, and ignore both: they call
-their engines directly rather than going through the replicate runner.
+The generators accept the ``cache`` keyword every figure generator takes,
+for interface uniformity with :func:`repro.experiments.figures.generate`,
+and ignore it: they call their engines directly rather than going through
+the replicate runner.
 ext01 and ext02 drive the extension engines one run at a time; ext03
 runs each point's replicates through
 :func:`repro.simulator.batch.simulate_batch`, whose analytic Random*
@@ -55,7 +55,7 @@ from repro.utils.stats import summarize
 __all__ = ["ext01", "ext02", "ext03"]
 
 
-def ext01(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def ext01(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Extension: locality vs random scheduling on factorization DAGs."""
     check_scale(scale)
     p = {"paper": 16, "medium": 16, "ci": 6}[scale]
@@ -92,7 +92,7 @@ def ext01(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
     return fig
 
 
-def ext02(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def ext02(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Extension: overlap slowdown vs bandwidth, one series per prefetch depth."""
     check_scale(scale)
     p = 20
@@ -123,7 +123,7 @@ def ext02(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
     return fig
 
 
-def ext03(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def ext03(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Extension: Random baselines vs the coupon-collector prediction."""
     check_scale(scale)
     n_outer = {"paper": 100, "medium": 100, "ci": 30}[scale]

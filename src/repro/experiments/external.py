@@ -1,64 +1,118 @@
 """Coordinator-free multi-worker sweeps over one shared store.
 
-``repro-experiments run --workers-external`` turns each invocation into
-one of N interchangeable sweep workers.  There is no master process; the
-store *is* the coordinator:
+``repro-experiments run --workers N`` (N > 1) and ``--workers-external``
+run figures through this module; there is no master process, the store
+*is* the coordinator:
 
-1. **Plan** — the worker runs the figure generator under
-   :func:`~repro.experiments.runner.collect_planned_cells`, which records
-   the deterministic grid of replicate cells instead of computing it.
-   Every worker derives the identical plan from (figure, scale, seed).
-2. **Publish** — the plan's fingerprints are written to the
-   :class:`~repro.store.orchestrator.SweepOrchestrator` cell manifest
-   (idempotent: identical bytes from every worker) and journaled as
-   ``accepted`` under a deterministic job id.
-3. **Drain** — :func:`repro.store.claims.drain_cells` walks the grid:
-   cells already in the store are skipped, unclaimed cells are claimed
-   and computed, foreign-claimed cells are revisited until their owner
-   finishes — or dies, goes stale, and is stolen from.
-4. **Assemble** — the caller re-runs the generator normally with the
-   store as cache; every cell is a hit, so the CSV is byte-identical to
+1. **Plan** — :func:`plan_figures` runs every requested figure generator
+   under :func:`~repro.experiments.runner.collect_planned_cells`, which
+   records the deterministic grid of work units instead of computing
+   it: each shared phase-1 group of a figure point is one unit, every
+   other replicate cell a unit of its own.  Every worker derives the
+   identical plan from (figures, scale, seed).  A figure whose planning
+   pass recorded no cell (ext01, ext02, ext03, flt01 and sec36 do not go
+   through the replicate runner) already computed its real output, and
+   the plan keeps it.
+2. **Publish** — each figure's fingerprints are journaled as ``accepted``
+   under a deterministic job id.
+3. **Drain** — :func:`repro.store.claims.drain_units` walks the units of
+   every figure in one pass: cells already in the store are skipped, the
+   other members of a unit are claimed one cell fingerprint at a time,
+   the members this process won are computed in one
+   :func:`~repro.experiments.runner.average_normalized_comm_group` call,
+   and members claimed elsewhere are revisited until their owner
+   finishes — or dies, goes stale, and is stolen from.  ``--workers N``
+   starts N − 1 local helper processes that drain the same units.
+4. **Assemble** — the caller re-runs the generators normally with the
+   store as cache; every cell is a hit, so the CSVs are byte-identical to
    a single-process run.
 
-All timing (polling, staleness) lives in :mod:`repro.store.claims`; this
-module stays clock-free per the R-OBS-CLOCK discipline for
-``repro.experiments``.
+Claim files and journal records stay per cell, so CLI workers and
+``repro-serve`` instances arbitrate in one namespace.  All timing
+(polling, staleness) lives in :mod:`repro.store.claims`; this module stays
+clock-free per the R-OBS-CLOCK discipline for ``repro.experiments``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import multiprocessing
+import sys
+import threading
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Union
 
+from repro.experiments.config import FigureData
 from repro.experiments.figures import generate
-from repro.experiments.runner import PlannedCell, average_normalized_comm, collect_planned_cells
+from repro.experiments.runner import PlannedUnit, average_normalized_comm_group, collect_planned_cells
 from repro.store.cache import ResultStore
-from repro.store.claims import ClaimRegistry, DrainStats, drain_cells
+from repro.store.claims import ClaimRegistry, DrainStats, DrainUnit, drain_units
 from repro.store.fingerprint import ENGINE_VERSION, fingerprint, seed_token
 from repro.store.journal import Journal
-from repro.store.orchestrator import SweepOrchestrator
 from repro.utils.rng import SeedLike
 
-__all__ = ["drain_figure", "external_job_id", "plan_figure_cells"]
+__all__ = [
+    "FigurePlan",
+    "drain_plans",
+    "drain_summary",
+    "external_job_id",
+    "plan_figures",
+]
 
 #: Schema tag fingerprinted into external-mode job ids.
 _JOB_SCHEMA = "repro.store.job/1"
 
 
-def plan_figure_cells(figure_id: str, *, scale: str, seed: SeedLike) -> List[PlannedCell]:
-    """The deduplicated, cacheable cell grid *figure_id* would compute.
+@dataclass(frozen=True)
+class FigurePlan:
+    """One figure's share of a :func:`plan_figures` pass.
 
-    Runs the real generator under the plan collector (cheap: analytical
-    series still evaluate, simulations do not), then drops uncacheable
-    cells and duplicate fingerprints.  Deterministic in its arguments —
-    the property the whole external mode rests on.
+    ``fingerprints`` lists every cacheable cell the figure reads (its
+    journal job's members); ``units`` holds only the cells no earlier
+    figure of the pass planned, so a cell shared by two figures is
+    drained once.  ``output`` is the planning pass's figure when that
+    pass recorded no cell, and ``None`` otherwise.
     """
-    with collect_planned_cells() as bucket:
-        generate(figure_id, scale=scale, seed=seed, workers=1, cache=None)
-    seen: Dict[str, PlannedCell] = {}
-    for cell in bucket:
-        if cell.fingerprint is not None and cell.fingerprint not in seen:
-            seen[cell.fingerprint] = cell
-    return list(seen.values())
+
+    figure_id: str
+    job: Optional[str]
+    fingerprints: List[str]
+    units: List[DrainUnit[PlannedUnit]]
+    output: Optional[FigureData]
+
+
+def plan_figures(
+    figure_ids: Sequence[str],
+    *,
+    scale: str,
+    seed: SeedLike,
+    cache: Optional[ResultStore] = None,
+) -> List[FigurePlan]:
+    """Plan *figure_ids* in order: their deduplicated, cacheable work units.
+
+    Runs each real generator under the plan collector (cheap for runner
+    figures: analytical series still evaluate, simulations do not), then
+    drops uncacheable cells and every fingerprint an earlier unit already
+    planned.  *cache* is what a figure outside the replicate runner reads
+    and writes while its planning pass computes it.  Deterministic in its
+    arguments — the property the whole external mode rests on.
+    """
+    seen: Set[str] = set()
+    plans: List[FigurePlan] = []
+    for figure_id in figure_ids:
+        with collect_planned_cells() as bucket:
+            output = generate(figure_id, scale=scale, seed=seed, cache=cache)
+        job = external_job_id(figure_id, scale=scale, seed=seed)
+        reads: Set[str] = set()
+        units: List[DrainUnit[PlannedUnit]] = []
+        for unit in bucket:
+            cacheable = {cell.fingerprint: cell for cell in unit if cell.fingerprint is not None}
+            reads.update(cacheable)
+            fresh = {fp: cell for fp, cell in cacheable.items() if fp not in seen}
+            if fresh:
+                seen.update(fresh)
+                units.append(DrainUnit(tuple(fresh), tuple(fresh.values()), job))
+        plans.append(FigurePlan(figure_id, job, sorted(reads), units, None if bucket else output))
+    return plans
 
 
 def external_job_id(figure_id: str, *, scale: str, seed: SeedLike) -> Optional[str]:
@@ -82,57 +136,117 @@ def external_job_id(figure_id: str, *, scale: str, seed: SeedLike) -> Optional[s
     )
 
 
-def drain_figure(
-    figure_id: str,
+def _drain(
+    units: Sequence[DrainUnit[PlannedUnit]],
+    store: ResultStore,
+    claims: ClaimRegistry,
+    journal: Optional[Journal],
+    poll_interval: float,
+    timeout: Optional[float],
+) -> DrainStats:
+    def compute(unit: PlannedUnit, won: List[str]) -> None:
+        cells = [cell for cell in unit if cell.fingerprint in won]
+        first = cells[0]
+        average_normalized_comm_group(
+            [cell.strategy_factory for cell in cells],
+            first.platform_factory,
+            first.n,
+            first.reps,
+            seed=first.seed,
+            cache=store,
+        )
+
+    return drain_units(
+        store,
+        units,
+        compute,
+        claims=claims,
+        journal=journal,
+        poll_interval=poll_interval,
+        timeout=timeout,
+    )
+
+
+def drain_summary(stats: DrainStats, claims: ClaimRegistry, figures: int) -> str:
+    """The one-line report a drainer prints when its pass is done."""
+    return (
+        f"   [{figures} figure(s) drained as {claims.owner}: {stats.computed} computed,"
+        f" {stats.cached} from peers/cache, {claims.counts['stolen']} stolen]"
+    )
+
+
+def _helper(
+    root: str,
+    units: Sequence[DrainUnit[PlannedUnit]],
+    figures: int,
+    stale_after: float,
+    journaled: bool,
+    poll_interval: float,
+) -> None:
+    """Body of one ``--workers N`` helper process: drain, report, exit."""
+    store = ResultStore(root)
+    claims = ClaimRegistry(store, stale_after=stale_after)
+    journal = Journal(store) if journaled else None
+    stats = _drain(units, store, claims, journal, poll_interval, None)
+    print(drain_summary(stats, claims, figures), flush=True)
+
+
+def drain_plans(
+    plans: Sequence[FigurePlan],
     *,
-    scale: str,
-    seed: SeedLike,
     store: ResultStore,
     claims: ClaimRegistry,
     journal: Optional[Journal] = None,
-    orchestrator: Optional[SweepOrchestrator] = None,
-    workers: int = 1,
-    vectorize: "bool | str" = "auto",
+    helpers: int = 0,
     poll_interval: float = 0.05,
     timeout: Optional[float] = None,
 ) -> DrainStats:
-    """Plan, publish and drain one figure's cell grid as one worker.
+    """Publish *plans* and drain all their units as one worker.
 
     Safe to run in any number of processes concurrently: claims guarantee
     each cold cell is computed exactly once, and the function returns when
     *every* planned cell is present in the store — whether this worker
     computed it, a peer did, or a peer died and this worker stole it.
-    ``workers``/``vectorize`` configure how *this* worker computes the
-    cells it wins (they do not affect results, only speed).
+    *helpers* local processes (at most one per unit with a missing cell)
+    drain the same units alongside this one, with their own claim owners;
+    the returned stats count this process's share only.
     """
-    plan = plan_figure_cells(figure_id, scale=scale, seed=seed)
-    job = external_job_id(figure_id, scale=scale, seed=seed)
-    fingerprints = sorted(c.fingerprint for c in plan if c.fingerprint is not None)
-    if orchestrator is not None:
-        orchestrator.write_cell_manifest(figure_id, fingerprints)
-    if journal is not None and job is not None:
-        journal.append_many("accepted", fingerprints, job=job, owner=claims.owner)
-
-    def compute(cell: PlannedCell) -> None:
-        average_normalized_comm(
-            cell.strategy_factory,
-            cell.platform_factory,
-            cell.n,
-            cell.reps,
-            seed=cell.seed,
-            workers=workers,
-            cache=store,
-            vectorize=vectorize,
+    if journal is not None:
+        for plan in plans:
+            if plan.job is not None:
+                journal.append_many("accepted", plan.fingerprints, job=plan.job, owner=claims.owner)
+    units = [unit for plan in plans for unit in plan.units]
+    cold = sum(1 for unit in units if not all(store.has_fingerprint(fp) for fp in unit.cells))
+    # Fork where the platform offers it and no other Python thread runs
+    # here: a forked helper starts at once, while a spawned one first
+    # re-imports numpy and scipy (about 1 s on a 2-vCPU guest, more than a
+    # short run gains).  numpy's OpenBLAS pool shuts itself down around fork.
+    context: "Union[multiprocessing.context.ForkContext, multiprocessing.context.SpawnContext]"
+    if threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+    else:
+        context = multiprocessing.get_context("spawn")
+    sys.stdout.flush()  # a forked helper must not inherit unflushed output
+    procs = [
+        context.Process(
+            target=_helper,
+            args=(store.root, units, len(plans), claims.stale_after, journal is not None, poll_interval),
+            daemon=True,
         )
-
-    cells = {c.fingerprint: c for c in plan if c.fingerprint is not None}
-    return drain_cells(
-        store,
-        cells,
-        compute,
-        claims=claims,
-        journal=journal,
-        job=job,
-        poll_interval=poll_interval,
-        timeout=timeout,
-    )
+        for _ in range(min(helpers, cold))
+    ]
+    for proc in procs:
+        proc.start()
+    try:
+        stats = _drain(units, store, claims, journal, poll_interval, timeout)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+    failed = [proc.exitcode for proc in procs if proc.exitcode != 0]
+    if failed:
+        raise RuntimeError(f"drain helper process(es) exited with {failed}")
+    return stats

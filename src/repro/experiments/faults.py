@@ -104,14 +104,9 @@ def _load_churn_cell(
 def flt01(
     scale: str = "ci",
     seed: SeedLike = 0,
-    workers: int = 1,
     cache: Optional[ResultStore] = None,
 ) -> FigureData:
     """Churn sweep: normalized communication vs expected crashes per worker.
-
-    ``workers`` is accepted for interface parity with the other figure
-    generators but the sweep always runs serially: fault-aware runs are
-    dominated by per-task bookkeeping, not the replicate count.
 
     A *cache* memoizes each crash level as one cell (all strategies plus the
     observed crash count): one RNG stream threads through the platform draw,

@@ -117,7 +117,6 @@ def _sweep_vs_p(
     seed: SeedLike,
     *,
     include_analysis: bool,
-    workers: int = 1,
     cache: Optional[ResultStore] = None,
 ) -> FigureData:
     fig = FigureData(
@@ -148,7 +147,6 @@ def _sweep_vs_p(
             n,
             reps,
             seed=seed,
-            workers=workers,
             cache=cache,
         )
         for name, summary in zip(strategy_names, summaries):
@@ -159,7 +157,7 @@ def _sweep_vs_p(
     return fig
 
 
-def fig01(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig01(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 1: random vs data-aware dynamic strategies for the outer product."""
     check_scale(scale)
     n = {"paper": 100, "medium": 100, "ci": 30}[scale]
@@ -173,12 +171,11 @@ def fig01(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         _reps(scale),
         seed,
         include_analysis=False,
-        workers=workers,
         cache=cache,
     )
 
 
-def fig04(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig04(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 4: all outer-product strategies + analysis, n = 100 blocks."""
     check_scale(scale)
     n = {"paper": 100, "medium": 100, "ci": 30}[scale]
@@ -192,12 +189,11 @@ def fig04(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         _reps(scale),
         seed,
         include_analysis=True,
-        workers=workers,
         cache=cache,
     )
 
 
-def fig05(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig05(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 5: all outer-product strategies + analysis, n = 1000 blocks."""
     check_scale(scale)
     n = {"paper": 1000, "medium": 300, "ci": 60}[scale]
@@ -211,12 +207,11 @@ def fig05(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         _reps(scale),
         seed,
         include_analysis=True,
-        workers=workers,
         cache=cache,
     )
 
 
-def fig09(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig09(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 9: all matmul strategies + analysis, n = 40 blocks."""
     check_scale(scale)
     n = {"paper": 40, "medium": 40, "ci": 10}[scale]
@@ -230,12 +225,11 @@ def fig09(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         _reps(scale),
         seed,
         include_analysis=True,
-        workers=workers,
         cache=cache,
     )
 
 
-def fig10(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig10(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 10: all matmul strategies + analysis, n = 100 blocks."""
     check_scale(scale)
     n = {"paper": 100, "medium": 60, "ci": 14}[scale]
@@ -249,7 +243,6 @@ def fig10(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         _reps(scale),
         seed,
         include_analysis=True,
-        workers=workers,
         cache=cache,
     )
 
@@ -259,7 +252,7 @@ def fig10(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
 # ---------------------------------------------------------------------------
 
 
-def fig02(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig02(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 2: DynamicOuter2Phases vs percentage of tasks in phase 1.
 
     A single platform draw (p = 20) is reused across the sweep, as in the
@@ -300,7 +293,6 @@ def fig02(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         n,
         reps,
         seed=seed,
-        workers=workers,
         cache=cache,
     )
     sweep = fig.new_series("DynamicOuter2Phases")
@@ -328,7 +320,6 @@ def _beta_sweep(
     reps: int,
     seed: SeedLike,
     betas: Sequence[float],
-    workers: int = 1,
     cache: Optional[ResultStore] = None,
 ) -> FigureData:
     two_phase = "DynamicOuter2Phases" if kernel == "outer" else "DynamicMatrix2Phases"
@@ -362,7 +353,6 @@ def _beta_sweep(
         n,
         reps,
         seed=seed,
-        workers=workers,
         cache=cache,
     )
     sim_series = fig.new_series(two_phase)
@@ -377,7 +367,7 @@ def _beta_sweep(
     return fig
 
 
-def fig06(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig06(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 6: outer-product communication vs β (p=20, n=100)."""
     check_scale(scale)
     n = {"paper": 100, "medium": 100, "ci": 30}[scale]
@@ -395,12 +385,11 @@ def fig06(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         _reps(scale),
         seed,
         betas,
-        workers=workers,
         cache=cache,
     )
 
 
-def fig11(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig11(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 11: matmul communication vs β (p=100, n=40)."""
     check_scale(scale)
     p = {"paper": 100, "medium": 100, "ci": 30}[scale]
@@ -419,7 +408,6 @@ def fig11(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         _reps(scale),
         seed,
         betas,
-        workers=workers,
         cache=cache,
     )
 
@@ -429,7 +417,7 @@ def fig11(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
 # ---------------------------------------------------------------------------
 
 
-def fig07(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig07(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 7: impact of the heterogeneity level h (speeds in [100-h, 100+h])."""
     check_scale(scale)
     p = 20
@@ -463,7 +451,7 @@ def fig07(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         factory = HeterogeneityPlatformSpec(p, float(h))
         summaries = average_normalized_comm_group(
             [StrategySpec(name, n) for name in names],
-            factory, n, reps, seed=seed, workers=workers, cache=cache,
+            factory, n, reps, seed=seed, cache=cache,
         )
         for name, summary in zip(names, summaries):
             fig[name].add(h, summary.mean, summary.std)
@@ -472,7 +460,7 @@ def fig07(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
     return fig
 
 
-def fig08(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def fig08(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Figure 8: heterogeneity scenarios (unif.*, set.*, dyn.*)."""
     check_scale(scale)
     p = 20
@@ -503,7 +491,7 @@ def fig08(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
         factory = ScenarioPlatformSpec(scenario, p)
         summaries = average_normalized_comm_group(
             [StrategySpec(name, n) for name in names],
-            factory, n, reps, seed=seed, workers=workers, cache=cache,
+            factory, n, reps, seed=seed, cache=cache,
         )
         for name, summary in zip(names, summaries):
             fig[name].add(idx, summary.mean, summary.std)
@@ -517,7 +505,7 @@ def fig08(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Option
 # ---------------------------------------------------------------------------
 
 
-def sec36(scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def sec36(scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Section 3.6: β is effectively speed-agnostic.
 
     For a grid of (p, n), draws heterogeneous speed vectors (uniform in
@@ -594,10 +582,10 @@ FIGURES: Dict[str, Callable[..., FigureData]] = {
 
 
 
-def generate(figure_id: str, scale: str = "ci", seed: SeedLike = 0, workers: int = 1, cache: Optional[ResultStore] = None) -> FigureData:
+def generate(figure_id: str, scale: str = "ci", seed: SeedLike = 0, cache: Optional[ResultStore] = None) -> FigureData:
     """Generate one figure by id (``"fig01"`` ... ``"fig11"``, ``"sec36"``)."""
     try:
         fn = FIGURES[figure_id]
     except KeyError:
         raise ValueError(f"unknown figure {figure_id!r}; choose from {sorted(FIGURES)}") from None
-    return fn(scale=scale, seed=seed, workers=workers, cache=cache)
+    return fn(scale=scale, seed=seed, cache=cache)

@@ -1,58 +1,31 @@
-"""Process-parallel replicate execution for the experiment runner.
+"""Picklable cell descriptions and the batch entry point over the runner.
 
-The paper's figures each average 10-50 independent simulations; the
-repetitions share nothing but a top-level seed, which makes the replicate
-dimension embarrassingly parallel.  This module distributes repetitions
-over a :class:`~concurrent.futures.ProcessPoolExecutor` while staying
-**bit-identical** to the serial loop in
-:func:`repro.experiments.runner.average_normalized_comm` for every worker
-count:
+The figure generators describe every replicate cell with the spec classes
+here — a strategy by registry name, a platform by its draw parameters —
+rather than with closures.  Specs carry a ``cache_token()``, which makes
+their cells cacheable in :mod:`repro.store`, and they pickle, which lets
+a planned cell cross to another process: the ``--workers N`` and
+``--workers-external`` drainers (:mod:`repro.experiments.external`)
+compute cells they claim from a plan built elsewhere.
 
-* each repetition's RNG stream is pre-spawned in the parent via
-  :func:`repro.utils.rng.spawn_seed_sequences`, so the stream a repetition
-  consumes does not depend on which process runs it;
-* per-repetition values are collected back **in repetition order** and
-  folded through the same Welford accumulator the serial path uses, so the
-  floating-point aggregation order is identical too.
-
-Dispatch is chunked: repetitions are grouped into one contiguous index
-chunk per worker, so each process pays its startup and import cost against
-``reps / workers`` repetitions rather than one.  Chunks go to a **warm
-pool** — a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-kept alive across calls, so a bench loop or sweep pays process startup
-once, not per cell; the job is pickled once and shipped with every chunk.
-
-When the pool is unusable (no multiprocessing support, a broken pool, or
-a job that does not pickle, such as one built from closure factories) the
-call silently degrades to the serial path, preserving results.
+:func:`run_cells` is the callable batch entry point behind
+``repro-serve``'s simulation lane: a list of :class:`CellRequest` in, a
+list of :class:`CellResult` out, one cell at a time.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.strategies.base import Strategy
 from repro.core.strategies.registry import make_strategy
-from repro.experiments.runner import (
-    PlatformFactory,
-    StrategyFactory,
-    _batch_outcomes,
-    _rep_normalized_comm,
-    _should_vectorize,
-)
-from repro.obs.sink import MetricsSink, RecordingSink
+from repro.experiments.runner import PlatformFactory, StrategyFactory
 from repro.platform.platform import Platform
 from repro.store.cache import ResultStore
-from repro.store.cells import load_cell, replicate_cell_key, save_cell
+from repro.store.cells import replicate_cell_key
 from repro.platform.speeds import (
     SCENARIO_NAMES,
     SpeedModel,
@@ -60,8 +33,8 @@ from repro.platform.speeds import (
     make_scenario,
     uniform_speeds,
 )
-from repro.utils.rng import SeedLike, as_generator, spawn_seed_sequences
-from repro.utils.stats import RunningStats, Summary
+from repro.utils.rng import SeedLike
+from repro.utils.stats import Summary
 from repro.utils.validation import check_positive_int, check_speeds
 
 __all__ = [
@@ -69,15 +42,11 @@ __all__ = [
     "CellResult",
     "FixedPlatformSpec",
     "HeterogeneityPlatformSpec",
-    "RepJob",
-    "RepOutcome",
     "ScenarioPlatformSpec",
     "StrategySpec",
     "UniformPlatformSpec",
-    "parallel_average_normalized_comm",
     "resolve_workers",
     "run_cells",
-    "shutdown_pool",
 ]
 
 
@@ -234,109 +203,6 @@ class ScenarioPlatformSpec:
         return f"ScenarioPlatformSpec({self.scenario!r}, p={self.p})"
 
 
-# ---------------------------------------------------------------------------
-# The replicate job
-# ---------------------------------------------------------------------------
-
-
-#: One repetition's outcome: the normalized-communication value plus the
-#: repetition sink's snapshot when metric collection is on (else ``None``).
-RepOutcome = Tuple[float, Optional[Dict[str, Any]]]
-
-
-def _rep_values(
-    seeds: Sequence[np.random.SeedSequence],
-    indices: Sequence[int],
-    strategy_factory: StrategyFactory,
-    platform_factory: PlatformFactory,
-    n: int,
-    collect_metrics: bool = False,
-    vectorize: bool = False,
-) -> List[RepOutcome]:
-    """Run the repetitions *indices*, each from its own pre-spawned stream.
-
-    With *vectorize* (a resolved boolean — ``"auto"`` is decided before the
-    job is built) the whole index batch runs through the batch engine in
-    one lockstep call; outcomes still come back in *indices* order and stay
-    bit-identical to the scalar loop.
-    """
-    if vectorize:
-        generators = [as_generator(seeds[i]) for i in indices]
-        return _batch_outcomes(
-            generators, strategy_factory, platform_factory, n, collect_metrics
-        )
-    outcomes: List[RepOutcome] = []
-    for i in indices:
-        rep_sink = RecordingSink() if collect_metrics else None
-        value = _rep_normalized_comm(
-            as_generator(seeds[i]), strategy_factory, platform_factory, n, sink=rep_sink
-        )
-        outcomes.append((value, None if rep_sink is None else rep_sink.snapshot()))
-    return outcomes
-
-
-class RepJob:
-    """Everything a worker process needs to run a batch of repetitions.
-
-    Holds the factories, the problem size and the **resolved** per-repetition
-    seed sequences — resolving them in the parent is what makes results
-    independent of the process a repetition lands on.  The job pickles iff
-    its factories do (the ``*Spec`` classes above always do); a job built
-    from closures runs serially.
-
-    With ``collect_metrics=True`` every repetition runs under a fresh
-    :class:`~repro.obs.sink.RecordingSink` and its (picklable) snapshot
-    travels back with the value, so the caller can fold snapshots in
-    repetition order regardless of which process ran which repetition.
-    """
-
-    __slots__ = (
-        "strategy_factory",
-        "platform_factory",
-        "n",
-        "seeds",
-        "collect_metrics",
-        "vectorize",
-    )
-
-    def __init__(
-        self,
-        strategy_factory: StrategyFactory,
-        platform_factory: PlatformFactory,
-        n: int,
-        seeds: Sequence[np.random.SeedSequence],
-        collect_metrics: bool = False,
-        vectorize: bool = False,
-    ) -> None:
-        self.strategy_factory = strategy_factory
-        self.platform_factory = platform_factory
-        self.n = check_positive_int("n", n)
-        self.seeds: List[np.random.SeedSequence] = list(seeds)
-        self.collect_metrics = bool(collect_metrics)
-        self.vectorize = bool(vectorize)
-
-    def run(self, indices: Sequence[int]) -> List[RepOutcome]:
-        """Per-repetition ``(value, snapshot)`` outcomes for *indices*."""
-        return _rep_values(
-            self.seeds,
-            indices,
-            self.strategy_factory,
-            self.platform_factory,
-            self.n,
-            self.collect_metrics,
-            self.vectorize,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Dispatch machinery
-# ---------------------------------------------------------------------------
-
-def _pickled_chunk(payload: bytes, indices: List[int]) -> List[RepOutcome]:
-    job: RepJob = pickle.loads(payload)
-    return job.run(indices)
-
-
 def resolve_workers(workers: int) -> int:
     """Resolve a ``workers`` option: ``0`` means one worker per CPU."""
     if isinstance(workers, bool) or not isinstance(workers, int):
@@ -346,194 +212,6 @@ def resolve_workers(workers: int) -> int:
     if workers == 0:
         return os.cpu_count() or 1
     return workers
-
-
-def _chunk_indices(reps: int, workers: int, chunk_size: Optional[int]) -> List[List[int]]:
-    """Split ``range(reps)`` into contiguous chunks, one per worker.
-
-    Repetitions of one cell cost near-identical time, so stragglers are
-    not a concern and the widest chunks win: each worker amortizes its
-    startup over ``ceil(reps / workers)`` repetitions, and wide chunks
-    are what lets a vectorized job run one big lockstep batch per worker.
-    """
-    if chunk_size is None:
-        chunk_size = max(1, -(-reps // workers))
-    else:
-        chunk_size = check_positive_int("chunk_size", chunk_size)
-    return [list(range(lo, min(lo + chunk_size, reps))) for lo in range(0, reps, chunk_size)]
-
-
-def _preferred_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The best available multiprocessing context, or ``None`` if none is."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    if "spawn" in methods:
-        return multiprocessing.get_context("spawn")
-    return None
-
-
-#: The warm worker pool and the (start method, worker count) it was built
-#: for.  Kept alive across calls so sweeps and bench loops pay process
-#: startup once; :func:`shutdown_pool` (registered ``atexit``) reclaims it.
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_KEY: Optional[Tuple[str, int]] = None
-
-
-def shutdown_pool() -> None:
-    """Shut down the warm worker pool, if one is alive.
-
-    Called automatically at interpreter exit; tests and long-lived hosts
-    can call it explicitly to reclaim the worker processes.
-    """
-    global _POOL, _POOL_KEY
-    if _POOL is not None:
-        _POOL.shutdown()
-        _POOL = None
-    _POOL_KEY = None
-
-
-atexit.register(shutdown_pool)
-
-
-def _warm_pool(
-    ctx: multiprocessing.context.BaseContext, workers: int
-) -> Optional[ProcessPoolExecutor]:
-    """The persistent pool for (*ctx*, *workers*), (re)building on change."""
-    global _POOL, _POOL_KEY
-    key = (ctx.get_start_method(), workers)
-    if _POOL is not None and _POOL_KEY == key:
-        return _POOL
-    shutdown_pool()
-    try:
-        _POOL = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-    except OSError:
-        return None
-    _POOL_KEY = key
-    return _POOL
-
-
-def _run_pickled(
-    job: RepJob,
-    chunks: List[List[int]],
-    workers: int,
-    ctx: multiprocessing.context.BaseContext,
-) -> Optional[List[RepOutcome]]:
-    """Run the chunks on the warm pool; ``None`` when it cannot."""
-    try:
-        payload = pickle.dumps(job)
-    except Exception:  # closures and other factories that do not pickle
-        return None
-    pool = _warm_pool(ctx, workers)
-    if pool is None:
-        return None
-    try:
-        results = list(pool.map(_pickled_chunk, repeat(payload), chunks))
-    except BrokenProcessPool:
-        shutdown_pool()
-        return None
-    return [outcome for chunk in results for outcome in chunk]
-
-
-def _dispatch(
-    job: RepJob, reps: int, workers: int, chunk_size: Optional[int]
-) -> List[RepOutcome]:
-    """Run all repetitions, in parallel where possible, serial otherwise."""
-    all_indices = list(range(reps))
-    chunks = _chunk_indices(reps, workers, chunk_size)
-    if len(chunks) <= 1:
-        return job.run(all_indices)
-    ctx = _preferred_context()
-    values = None if ctx is None else _run_pickled(job, chunks, workers, ctx)
-    if values is None:
-        return job.run(all_indices)
-    return values
-
-
-# ---------------------------------------------------------------------------
-# Public entry point
-# ---------------------------------------------------------------------------
-
-
-def parallel_average_normalized_comm(
-    strategy_factory: StrategyFactory,
-    platform_factory: PlatformFactory,
-    n: int,
-    reps: int,
-    *,
-    seed: SeedLike = 0,
-    workers: int = 0,
-    chunk_size: Optional[int] = None,
-    sink: Optional[MetricsSink] = None,
-    cache: Optional[ResultStore] = None,
-    vectorize: Union[bool, str] = "auto",
-) -> Summary:
-    """Parallel drop-in for :func:`~repro.experiments.runner.average_normalized_comm`.
-
-    Distributes the *reps* repetitions over ``workers`` processes
-    (``0`` = one per CPU) and returns a :class:`~repro.utils.stats.Summary`
-    **bit-identical** to the serial path for any worker count: streams are
-    pre-spawned per repetition and aggregation runs in repetition order.
-    ``chunk_size`` overrides the dispatch granularity (mostly for tests).
-
-    A *sink* receives every repetition's metrics: each repetition runs under
-    a fresh :class:`~repro.obs.sink.RecordingSink` in its worker process and
-    the picklable snapshots are absorbed here **in repetition order**, so
-    the accumulated metrics match the serial path bit for bit.
-
-    A *cache* memoizes the whole cell exactly as the serial path does (same
-    key, same payload — a cell computed serially is a parallel hit and vice
-    versa); the store's file lock makes sharing one cache directory across
-    worker processes safe.
-
-    ``vectorize`` (``"auto"``/``True``/``False``) selects the batch engine
-    inside each worker's chunk, exactly as in the serial entry point; it is
-    resolved here once so worker processes never re-decide.
-    """
-    if reps <= 0:
-        raise ValueError(f"reps must be positive, got {reps}")
-    use_batch = _should_vectorize(vectorize, strategy_factory)
-    key = None
-    if cache is not None:
-        key = replicate_cell_key(
-            strategy_factory=strategy_factory,
-            platform_factory=platform_factory,
-            n=n,
-            reps=reps,
-            seed=seed,
-            metrics=sink is not None,
-        )
-        if key is not None:
-            cached = load_cell(cache, key, sink=sink)
-            if cached is not None:
-                return cached
-    nworkers = resolve_workers(workers)
-    job = RepJob(
-        strategy_factory,
-        platform_factory,
-        n,
-        spawn_seed_sequences(seed, reps),
-        collect_metrics=sink is not None,
-        vectorize=use_batch,
-    )
-    if nworkers <= 1:
-        outcomes = job.run(list(range(reps)))
-    else:
-        outcomes = _dispatch(job, reps, nworkers, chunk_size)
-    snapshots: Optional[List[Dict[str, Any]]] = (
-        [] if (key is not None and sink is not None) else None
-    )
-    stats = RunningStats()
-    for value, snapshot in outcomes:
-        stats.add(value)
-        if sink is not None and snapshot is not None:
-            sink.absorb_snapshot(snapshot)
-            if snapshots is not None:
-                snapshots.append(snapshot)
-    summary = stats.summary()
-    if cache is not None and key is not None:
-        save_cell(cache, key, summary, snapshots)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +295,6 @@ def run_cells(
     requests: Sequence[CellRequest],
     *,
     cache: Optional[ResultStore] = None,
-    workers: int = 1,
     vectorize: Union[bool, str] = "auto",
 ) -> List[CellResult]:
     """Run a batch of replicate cells through the replicate runner.
@@ -630,9 +307,9 @@ def run_cells(
     :class:`CellResult` carrying the error message instead of aborting the
     batch — the caller decides whether a cell failure is fatal.
 
-    ``workers``/``vectorize`` are forwarded per cell; the batch itself runs
-    sequentially in the calling thread, so a thread-pool caller gets one
-    OS thread per *batch*, not per cell.
+    ``vectorize`` is forwarded per cell; the batch runs sequentially in
+    the calling thread, so a thread-pool caller gets one OS thread per
+    *batch*, not per cell.
     """
     from repro.experiments.runner import average_normalized_comm
 
@@ -645,7 +322,6 @@ def run_cells(
                 request.n,
                 request.reps,
                 seed=request.seed,
-                workers=workers,
                 cache=cache,
                 vectorize=vectorize,
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "mean_analysis_ratio",
     "resolve_vectorize",
     "PlannedCell",
+    "PlannedUnit",
     "PlatformFactory",
     "StrategyFactory",
 ]
@@ -73,10 +74,15 @@ class PlannedCell:
     fingerprint: Optional[str]
 
 
+#: A unit of planned work: the cells one
+#: :func:`average_normalized_comm_group` call computes together (a shared
+#: phase-1 group), or a single cell.
+PlannedUnit = Tuple[PlannedCell, ...]
+
 #: When set, :func:`average_normalized_comm` records cells instead of
 #: computing them.  Context-local so a planner pass can never leak into
 #: unrelated threads or tasks.
-_PLAN_BUCKET: "contextvars.ContextVar[Optional[List[PlannedCell]]]" = contextvars.ContextVar(
+_PLAN_BUCKET: "contextvars.ContextVar[Optional[List[PlannedUnit]]]" = contextvars.ContextVar(
     "repro_plan_bucket", default=None
 )
 
@@ -87,18 +93,19 @@ _PLAN_PLACEHOLDER = Summary(n=1, mean=1.0, std=0.0, min=1.0, max=1.0)
 
 
 @contextlib.contextmanager
-def collect_planned_cells() -> Iterator[List[PlannedCell]]:
+def collect_planned_cells() -> Iterator[List[PlannedUnit]]:
     """Record the replicate cells a figure *would* compute, without computing.
 
     Inside the context every :func:`average_normalized_comm` call appends
-    a :class:`PlannedCell` to the yielded list and returns a placeholder
-    summary.  Running a figure generator under this context is the
-    planning pre-pass of the external multi-worker mode
-    (:mod:`repro.experiments.external`): because the generators are
-    deterministic in (figure, scale, seed), every worker plans the exact
-    same grid.
+    a one-cell :data:`PlannedUnit` to the yielded list, and every shared
+    phase-1 group of :func:`average_normalized_comm_group` appends one
+    unit holding all its members; both return placeholder summaries.
+    Running a figure generator under this context is the planning pass of
+    the claims transport (:mod:`repro.experiments.external`): because the
+    generators are deterministic in (figure, scale, seed), every worker
+    plans the exact same units.
     """
-    bucket: List[PlannedCell] = []
+    bucket: List[PlannedUnit] = []
     token = _PLAN_BUCKET.set(bucket)
     try:
         yield bucket
@@ -122,9 +129,8 @@ def _rep_normalized_comm(
 ) -> float:
     """One repetition: draw a platform, simulate, normalize by the bound.
 
-    This is the unit of work both the serial loop below and the parallel
-    replicate runner (:mod:`repro.experiments.parallel`) execute — keeping
-    it in one place is what makes the two paths bit-identical.
+    This is the unit of work of the scalar loop below; the batch engine
+    (:func:`_batch_outcomes`) consumes each stream in the same order.
     """
     platform, model = _unpack(platform_factory(rng))
     strategy = strategy_factory()
@@ -213,6 +219,33 @@ def _batch_outcomes(
     return outcomes
 
 
+def _planned_cell(
+    strategy_factory: StrategyFactory,
+    platform_factory: PlatformFactory,
+    n: int,
+    reps: int,
+    seed: SeedLike,
+    metrics: bool,
+) -> PlannedCell:
+    key = replicate_cell_key(
+        strategy_factory=strategy_factory,
+        platform_factory=platform_factory,
+        n=n,
+        reps=reps,
+        seed=seed,
+        metrics=metrics,
+    )
+    return PlannedCell(
+        strategy_factory=strategy_factory,
+        platform_factory=platform_factory,
+        n=n,
+        reps=reps,
+        seed=seed,
+        key=key,
+        fingerprint=None if key is None else fingerprint(key),
+    )
+
+
 def average_normalized_comm(
     strategy_factory: StrategyFactory,
     platform_factory: PlatformFactory,
@@ -220,7 +253,6 @@ def average_normalized_comm(
     reps: int,
     *,
     seed: SeedLike = 0,
-    workers: int = 1,
     sink: Optional[MetricsSink] = None,
     cache: Optional[ResultStore] = None,
     vectorize: Union[bool, str] = "auto",
@@ -231,18 +263,11 @@ def average_normalized_comm(
     draw, the strategy's choices and any dynamic speed perturbations —
     mirroring the paper's protocol of averaging over full re-runs.
 
-    ``workers`` distributes the repetitions over processes
-    (see :func:`repro.experiments.parallel.parallel_average_normalized_comm`):
-    ``1`` runs serially in-process, ``0`` uses one worker per CPU, and any
-    other positive count uses exactly that many processes.  Results are
-    bit-identical for every worker count because each repetition owns an
-    independent, pre-spawned RNG stream and the aggregation order is fixed.
-
     When a *sink* is given, every repetition is instrumented with a fresh
     :class:`~repro.obs.sink.RecordingSink` whose snapshot is folded into
     *sink* via :meth:`~repro.obs.sink.MetricsSink.absorb_snapshot` in
-    repetition order — the identical fold sequence serial and parallel, so
-    accumulated metrics are bit-identical for every worker count too.
+    repetition order — the same fold sequence on either engine, so
+    accumulated metrics are bit-identical too.
 
     A *cache* (:class:`~repro.store.cache.ResultStore`) memoizes the whole
     cell: when both factories expose a ``cache_token()`` and the seed is
@@ -264,40 +289,10 @@ def average_normalized_comm(
         raise ValueError(f"reps must be positive, got {reps}")
     bucket = _PLAN_BUCKET.get()
     if bucket is not None:
-        planned_key = replicate_cell_key(
-            strategy_factory=strategy_factory,
-            platform_factory=platform_factory,
-            n=n,
-            reps=reps,
-            seed=seed,
-            metrics=sink is not None,
-        )
         bucket.append(
-            PlannedCell(
-                strategy_factory=strategy_factory,
-                platform_factory=platform_factory,
-                n=n,
-                reps=reps,
-                seed=seed,
-                key=planned_key,
-                fingerprint=None if planned_key is None else fingerprint(planned_key),
-            )
+            (_planned_cell(strategy_factory, platform_factory, n, reps, seed, sink is not None),)
         )
         return _PLAN_PLACEHOLDER
-    if workers != 1:
-        from repro.experiments.parallel import parallel_average_normalized_comm
-
-        return parallel_average_normalized_comm(
-            strategy_factory,
-            platform_factory,
-            n,
-            reps,
-            seed=seed,
-            workers=workers,
-            sink=sink,
-            cache=cache,
-            vectorize=vectorize,
-        )
     use_batch = _should_vectorize(vectorize, strategy_factory)
     key = None
     if cache is not None:
@@ -357,7 +352,6 @@ def average_normalized_comm_group(
     reps: int,
     *,
     seed: SeedLike = 0,
-    workers: int = 1,
     sink: Optional[MetricsSink] = None,
     cache: Optional[ResultStore] = None,
     vectorize: Union[bool, str] = "auto",
@@ -374,13 +368,17 @@ def average_normalized_comm_group(
     finishes.  Cells outside a group go through
     :func:`average_normalized_comm` as they are, in order.
 
-    The whole point falls back to that per-cell loop under
-    :func:`collect_planned_cells`, with ``workers != 1``,
+    The whole point falls back to that per-cell loop with
     ``vectorize=False``, a *sink*, or a non-integer seed (a generator or
     seed sequence advances between cells); a group whose platform factory
     yields a non-static speed model computes its cells one by one.  A
     cell repeating an earlier cell's key is probed after the group is
     stored, so even the store's hit and put counts match the loop.
+
+    Under :func:`collect_planned_cells` each group of two or more members
+    is recorded as one :data:`PlannedUnit` (at its first member's
+    position) and every other cell as a unit of its own, so a drainer
+    can compute the members it claims in one call to this function.
     """
     if reps <= 0:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -392,20 +390,13 @@ def average_normalized_comm_group(
             n,
             reps,
             seed=seed,
-            workers=workers,
             sink=sink,
             cache=cache,
             vectorize=vectorize,
         )
 
     integer_seed = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if (
-        _PLAN_BUCKET.get() is not None
-        or workers != 1
-        or vectorize not in (True, "auto")
-        or sink is not None
-        or not integer_seed
-    ):
+    if vectorize not in (True, "auto") or sink is not None or not integer_seed:
         return [one(factory) for factory in strategy_factories]
     by_key: Dict[Any, List[int]] = {}
     for idx, factory in enumerate(strategy_factories):
@@ -414,6 +405,20 @@ def average_normalized_comm_group(
             by_key.setdefault(group, []).append(idx)
     groups = [members for members in by_key.values() if len(members) > 1]
     grouped = {idx for members in groups for idx in members}
+    bucket = _PLAN_BUCKET.get()
+    if bucket is not None:
+        firsts = {members[0]: members for members in groups}
+        for idx, factory in enumerate(strategy_factories):
+            if idx in firsts:
+                bucket.append(
+                    tuple(
+                        _planned_cell(strategy_factories[i], platform_factory, n, reps, seed, False)
+                        for i in firsts[idx]
+                    )
+                )
+            elif idx not in grouped:
+                one(factory)
+        return [_PLAN_PLACEHOLDER] * len(strategy_factories)
     summaries: List[Optional[Summary]] = []
     keys: Dict[int, Dict[str, Any]] = {}
     repeats: Dict[int, int] = {}  # member -> earlier member with its key

@@ -43,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-max", type=int, default=8, help="max cells per engine batch"
     )
     parser.add_argument(
-        "--cell-workers",
-        type=int,
-        default=1,
-        help="process-pool workers per engine batch",
-    )
-    parser.add_argument(
         "--quota-rate",
         type=float,
         default=20.0,
@@ -102,7 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         lane_workers=args.sim_workers,
         max_queue=args.max_queue,
         batch_max=args.batch_max,
-        cell_workers=args.cell_workers,
         quota_rate=args.quota_rate,
         quota_burst=args.quota_burst,
         max_n=args.max_n,

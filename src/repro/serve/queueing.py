@@ -148,7 +148,6 @@ class SimulationLane:
         workers: int = 2,
         max_queue: int = 64,
         batch_max: int = 8,
-        cell_workers: int = 1,
         claims: Optional[ClaimRegistry] = None,
         journal: Optional[Journal] = None,
         claim_poll: float = 0.05,
@@ -159,7 +158,6 @@ class SimulationLane:
         self._workers = check_positive_int("workers", workers)
         self._max_queue = check_positive_int("max_queue", max_queue)
         self._batch_max = check_positive_int("batch_max", batch_max)
-        self._cell_workers = check_positive_int("cell_workers", cell_workers)
         self._claims = claims
         self._journal = journal
         self._claim_poll = check_positive("claim_poll", claim_poll)
@@ -362,15 +360,8 @@ class SimulationLane:
         """One engine batch on the executor, heartbeating claimed cells."""
         if self._claims is not None and claimed_fps:
             with self._claims.ticker(claimed_fps):
-                return run_cells(
-                    requests,
-                    cache=self._store,
-                    workers=self._cell_workers,
-                    vectorize="auto",
-                )
-        return run_cells(
-            requests, cache=self._store, workers=self._cell_workers, vectorize="auto"
-        )
+                return run_cells(requests, cache=self._store, vectorize="auto")
+        return run_cells(requests, cache=self._store, vectorize="auto")
 
     def _finalize_claims(self, batch: List[_Job], settled: List[_Settled]) -> None:
         """Journal and release every claimed cell of a finished batch.

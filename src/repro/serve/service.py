@@ -32,10 +32,9 @@ Status codes: 400 malformed spec, 404/405 unknown route, 413 oversized
 body, 429 per-client quota exhausted, 503 queue full or draining.
 
 **Graceful drain**: on SIGTERM/SIGINT the listener closes, in-flight cells
-finish, open responses are given a grace period, the store executor and
-the warm simulation process pool shut down, and the process exits 0 — so
-a supervisor rolling the service never loses a computed-but-unwritten
-cell.
+finish, open responses are given a grace period, the store executor shuts
+down, and the process exits 0 — so a supervisor rolling the service never
+loses a computed-but-unwritten cell.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.experiments.parallel import shutdown_pool
 from repro.serve.protocol import (
     SERVE_SCHEMA,
     AnalyticalQuery,
@@ -88,7 +86,6 @@ class ServeConfig:
         "lane_workers",
         "max_queue",
         "batch_max",
-        "cell_workers",
         "quota_rate",
         "quota_burst",
         "max_n",
@@ -112,7 +109,6 @@ class ServeConfig:
         lane_workers: int = 2,
         max_queue: int = 64,
         batch_max: int = 8,
-        cell_workers: int = 1,
         quota_rate: float = 20.0,
         quota_burst: float = 40.0,
         max_n: int = 512,
@@ -134,7 +130,6 @@ class ServeConfig:
         self.lane_workers = check_positive_int("lane_workers", lane_workers)
         self.max_queue = check_positive_int("max_queue", max_queue)
         self.batch_max = check_positive_int("batch_max", batch_max)
-        self.cell_workers = check_positive_int("cell_workers", cell_workers)
         self.quota_rate = check_nonnegative("quota_rate", quota_rate)
         self.quota_burst = check_nonnegative("quota_burst", quota_burst)
         self.max_n = check_positive_int("max_n", max_n)
@@ -198,7 +193,6 @@ class SweepService:
             workers=config.lane_workers,
             max_queue=config.max_queue,
             batch_max=config.batch_max,
-            cell_workers=config.cell_workers,
             claims=self.claims,
             journal=self.journal,
             claim_poll=config.claim_poll,
@@ -239,7 +233,7 @@ class SweepService:
         await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, release pools."""
+        """Graceful drain: stop accepting, finish in-flight, release the executor."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -249,7 +243,6 @@ class SweepService:
         if pending:
             await asyncio.wait(pending, timeout=self.config.drain_grace)
         self._executor.shutdown(wait=True)
-        shutdown_pool()
 
     @property
     def draining(self) -> bool:

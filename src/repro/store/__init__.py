@@ -13,17 +13,16 @@ Layered API:
 
 * :mod:`repro.store.fingerprint` — canonical JSON, sha256 fingerprints,
   seed/spec tokens, the engine version tag;
-* :mod:`repro.store.lock` — an advisory file lock so parallel replicates
-  share one cache directory safely;
+* :mod:`repro.store.lock` — an advisory file lock so concurrent
+  processes share one cache directory safely;
 * :mod:`repro.store.cache` — :class:`ResultStore`, the on-disk object
   store with corruption detection and LRU garbage collection;
 * :mod:`repro.store.cells` — cache keys/payloads for the experiment
   runner's replicate cells (:class:`~repro.utils.stats.Summary` values);
 * :mod:`repro.store.results` — caching wrapper for single simulations
   (serialized :class:`~repro.simulator.results.SimulationResult` values);
-* :mod:`repro.store.orchestrator` — figure-level resume manifests (and
-  planned cell manifests) for ``repro-experiments run --resume`` and the
-  multi-worker external mode;
+* :mod:`repro.store.orchestrator` — figure-level resume manifests for
+  ``repro-experiments run --resume``;
 * :mod:`repro.store.claims` — per-cell claim files with heartbeats and
   stale-claim stealing, so N processes share one cold store without
   duplicate computation (see docs/DISTRIBUTED.md);

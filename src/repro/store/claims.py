@@ -32,11 +32,13 @@ arbitration, no lock needed — while every rewrite or unlink of an existing
 claim runs under the store's :class:`~repro.store.lock.FileLock` so a
 steal can re-verify staleness without racing the owner's heartbeat.
 
-:func:`drain_cells` builds the coordinator-free worker loop on top: N
-independent processes walk one cell manifest, skip cells already in the
-store, claim-or-skip the rest, and poll until the grid is drained.  Two
-workers never compute the same cell; a SIGKILLed worker's cells go stale
-and are finished by the survivors.
+:func:`drain_units` builds the coordinator-free worker loop on top: N
+independent processes walk one list of work units (a unit is one cell, or
+cells one call computes together), skip cells already in the store,
+claim-or-skip the rest one cell at a time, and poll until every unit is
+drained.  Two workers never compute the same cell; a SIGKILLed worker's
+cells go stale and are finished by the survivors.  :func:`drain_cells` is
+the one-cell-per-unit form.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, TypeVar
+from typing import Any, Callable, Dict, Generic, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs.sink import MetricsSink
 from repro.store.cache import ResultStore
@@ -61,8 +63,10 @@ __all__ = [
     "ClaimRegistry",
     "DrainStats",
     "DrainTimeout",
+    "DrainUnit",
     "HeartbeatTicker",
     "drain_cells",
+    "drain_units",
 ]
 
 #: Format tag written into every claim file; unknown tags read as corrupt.
@@ -97,12 +101,26 @@ class ClaimInfo:
 
 
 class DrainTimeout(RuntimeError):
-    """Raised when :func:`drain_cells` ran out of time with cells pending."""
+    """Raised when :func:`drain_units` ran out of time with cells pending."""
+
+
+@dataclass(frozen=True)
+class DrainUnit(Generic[_T]):
+    """Cells that one compute call produces together, for :func:`drain_units`.
+
+    ``cells`` are the members' store fingerprints, ``item`` the opaque
+    work description handed to the compute callback, and ``job`` the
+    journal job id its progress records carry.
+    """
+
+    cells: Tuple[str, ...]
+    item: _T
+    job: Optional[str] = None
 
 
 @dataclass
 class DrainStats:
-    """What one :func:`drain_cells` pass over a manifest accomplished."""
+    """What one :func:`drain_units` pass over a list of units accomplished."""
 
     #: Cells this process claimed and computed.
     computed: int = 0
@@ -415,58 +433,96 @@ def drain_cells(
     poll_interval: float = 0.05,
     timeout: Optional[float] = None,
 ) -> DrainStats:
-    """Drain a cell manifest cooperatively with any number of peers.
+    """Drain a cell manifest cooperatively: :func:`drain_units`, one cell per unit.
 
     *cells* maps each cell's store fingerprint to an opaque work item;
     *compute* must, given the item, compute the cell **and write it into
     the store** (so peers observe completion via the entry's existence).
+    """
+    return drain_units(
+        store,
+        [DrainUnit((fp,), item, job) for fp, item in cells.items()],
+        lambda item, won: compute(item),
+        claims=claims,
+        journal=journal,
+        poll_interval=poll_interval,
+        timeout=timeout,
+    )
 
-    Each pass over the still-pending fingerprints: a cell already in the
-    store is done (counted ``cached``); otherwise the cell is claimed
-    through *claims* — on success this process computes it (heartbeating
-    throughout, journaling ``claimed → computed → flushed`` when a
-    *journal* is given) and releases the claim; on failure the cell is
-    simply revisited next pass, by which time the foreign owner has either
-    finished it or died and left a stale claim to steal.  Between passes
-    that made no progress the loop sleeps *poll_interval* seconds.
+
+def drain_units(
+    store: ResultStore,
+    units: Sequence[DrainUnit[_T]],
+    compute: Callable[[_T, List[str]], None],
+    *,
+    claims: ClaimRegistry,
+    journal: Optional[Journal] = None,
+    poll_interval: float = 0.05,
+    timeout: Optional[float] = None,
+) -> DrainStats:
+    """Drain *units* cooperatively with any number of peers.
+
+    ``compute(item, won)`` must compute the unit's member cells whose
+    fingerprints are in *won* **and write each into the store** (so peers
+    observe completion via the entries' existence).
+
+    Each pass visits every unit with members still pending.  A member
+    already in the store is done (counted ``cached``); every other member
+    is claimed through *claims*, one fingerprint at a time.  The members
+    this process won are computed in one *compute* call (heartbeating
+    throughout, journaling ``claimed → computed → flushed`` per cell when
+    a *journal* is given) and released; members held by another owner are
+    revisited next pass, by which time that owner has either finished
+    them or died and left stale claims to steal.  Between passes that
+    made no progress the loop sleeps *poll_interval* seconds.
 
     Raises :class:`DrainTimeout` if *timeout* elapses with cells pending,
-    and re-raises immediately (after releasing the claim) if *compute*
+    and re-raises immediately (after releasing its claims) if *compute*
     fails — a crashing worker must not silently swallow its cells.
     """
     if poll_interval <= 0:
         raise ValueError(f"poll_interval must be positive, got {poll_interval}")
-    pending: Dict[str, _T] = dict(cells)
+    pending = [(unit, list(unit.cells)) for unit in units]
     stats = DrainStats()
     deadline = None if timeout is None else time.monotonic() + float(timeout)
     while pending:
         progressed = False
-        for fp in list(pending):
-            if store.has_fingerprint(fp):
-                pending.pop(fp)
-                stats.cached += 1
-                progressed = True
-                continue
-            if not claims.try_claim(fp):
-                continue
+        still: List[Tuple[DrainUnit[_T], List[str]]] = []
+        for unit, members in pending:
+            won: List[str] = []
+            held: List[str] = []
             try:
-                if journal is not None:
-                    journal.append("claimed", fp, job=job, owner=claims.owner)
-                with claims.ticker([fp]):
-                    compute(pending[fp])
-                if journal is not None:
-                    journal.append("computed", fp, job=job, owner=claims.owner)
+                for fp in members:
                     if store.has_fingerprint(fp):
-                        journal.append("flushed", fp, job=job, owner=claims.owner)
+                        stats.cached += 1
+                        progressed = True
+                    elif claims.try_claim(fp):
+                        won.append(fp)
+                    else:
+                        held.append(fp)
+                if won:
+                    if journal is not None:
+                        journal.append_many("claimed", won, job=unit.job, owner=claims.owner)
+                    with claims.ticker(won):
+                        compute(unit.item, won)
+                    if journal is not None:
+                        journal.append_many("computed", won, job=unit.job, owner=claims.owner)
+                        flushed = [fp for fp in won if store.has_fingerprint(fp)]
+                        journal.append_many("flushed", flushed, job=unit.job, owner=claims.owner)
             finally:
-                claims.release(fp)
-            pending.pop(fp)
-            stats.computed += 1
-            progressed = True
+                for fp in won:
+                    claims.release(fp)
+            if won:
+                stats.computed += len(won)
+                progressed = True
+            if held:
+                still.append((unit, held))
+        pending = still
         if pending and not progressed:
             if deadline is not None and time.monotonic() >= deadline:
+                left = sum(len(members) for _, members in pending)
                 raise DrainTimeout(
-                    f"{len(pending)} cells still pending after {timeout}s "
+                    f"{left} cells still pending after {timeout}s "
                     "(foreign claims never resolved)"
                 )
             stats.waits += 1

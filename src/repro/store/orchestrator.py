@@ -23,13 +23,10 @@ from repro.store.cache import ResultStore
 from repro.store.fingerprint import ENGINE_VERSION, fingerprint, seed_token
 from repro.utils.rng import SeedLike
 
-__all__ = ["CELLS_SCHEMA", "MANIFEST_SCHEMA", "SweepOrchestrator", "file_sha256"]
+__all__ = ["MANIFEST_SCHEMA", "SweepOrchestrator", "file_sha256"]
 
 #: Schema tag inside every figure manifest; bump on key-shape changes.
 MANIFEST_SCHEMA = "repro.store.sweep/1"
-
-#: Schema tag inside every cell manifest (the planned grid of a figure).
-CELLS_SCHEMA = "repro.store.sweep-cells/1"
 
 
 def file_sha256(path: str) -> str:
@@ -112,78 +109,6 @@ class SweepOrchestrator:
             return file_sha256(csv_path) == digest
         except OSError:
             return False
-
-    # -- cell manifests ------------------------------------------------------
-
-    def cells_key(self, figure_id: str) -> Optional[Dict[str, Any]]:
-        """The cell-manifest key for *figure_id*, or ``None`` when unresumable."""
-        if self._seed_tok is None:
-            return None
-        return {
-            "schema": CELLS_SCHEMA,
-            "engine": ENGINE_VERSION,
-            "figure": str(figure_id),
-            "scale": self.scale,
-            "seed": self._seed_tok,
-        }
-
-    def _cells_path(self, figure_id: str) -> Optional[str]:
-        key = self.cells_key(figure_id)
-        if key is None:
-            return None
-        return os.path.join(self._manifests_dir(), f"{fingerprint(key)}.json")
-
-    def write_cell_manifest(self, figure_id: str, fingerprints: "list[str]") -> Optional[str]:
-        """Persist the planned cell grid of *figure_id*; returns the path.
-
-        Every external worker plans the same deterministic grid and writes
-        identical bytes, so concurrent writers are harmless (atomic
-        replace under the store lock).  Returns ``None`` when the sweep
-        configuration is unresumable.
-        """
-        path = self._cells_path(figure_id)
-        if path is None:
-            return None
-        manifest = {
-            "format": CELLS_SCHEMA,
-            "figure": str(figure_id),
-            "key": self.cells_key(figure_id),
-            "cells": sorted(str(fp) for fp in fingerprints),
-        }
-        text = json.dumps(manifest, sort_keys=True, indent=2)
-        with self.store.lock():
-            fd, tmp = tempfile.mkstemp(dir=self._manifests_dir(), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                    fh.write("\n")
-                os.replace(tmp, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
-        return path
-
-    def cell_manifest(self, figure_id: str) -> "Optional[list[str]]":
-        """The recorded cell fingerprints for *figure_id*, or ``None``.
-
-        ``None`` means no (valid) manifest — unresumable seeds included;
-        any structural anomaly reads as missing rather than crashing.
-        """
-        path = self._cells_path(figure_id)
-        if path is None:
-            return None
-        try:
-            with open(path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(manifest, dict) or manifest.get("format") != CELLS_SCHEMA:
-            return None
-        cells = manifest.get("cells")
-        if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
-            return None
-        return list(cells)
 
     def mark_done(self, figure_id: str, csv_path: str) -> Optional[str]:
         """Record that *figure_id* produced *csv_path*; returns the manifest path.

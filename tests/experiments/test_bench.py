@@ -66,7 +66,8 @@ class TestRunSuite:
         for entry in record["workloads"].values():
             seconds = entry["seconds"]
             assert 0 < seconds["min"] <= seconds["median"]
-        assert "replicate_sweep_speedup" in record["derived"]
+        assert "replicate_sweep_vectorized_speedup" in record["derived"]
+        assert not any("parallel" in name for name in record["workloads"])
 
     def test_repeats_validated(self):
         with pytest.raises(ValueError):
@@ -130,31 +131,6 @@ class TestCli:
         assert main(["compare", str(old_path), str(new_path), "--warn-only"]) == 0
         assert main(["compare", str(old_path), str(old_path)]) == 0
         capsys.readouterr()
-
-    def test_run_prints_unmeasured_gate(self, tmp_path, monkeypatch, capsys):
-        import repro.experiments.bench as bench
-
-        record = _tiny_record(a=1.0)
-        record["derived"] = {"replicate_sweep_speedup": 0.85, "parallel_speedup_ok": None}
-        monkeypatch.setattr(bench, "run_suite", lambda *args, **kwargs: record)
-        assert main(["run", "--quick", "--json", str(tmp_path / "bench.json")]) == 0
-        assert "parallel speedup gate: unmeasured" in capsys.readouterr().out
-
-    def test_compare_prints_parallel_gate(self, tmp_path, capsys):
-        paths = {}
-        for word, gate in (("ok", True), ("lost", False), ("unmeasured", None)):
-            record = _tiny_record(a=1.0)
-            record["derived"] = {"replicate_sweep_speedup": 0.85, "parallel_speedup_ok": gate}
-            paths[word] = tmp_path / f"{word}.json"
-            paths[word].write_text(json.dumps(record))
-        paths["none"] = tmp_path / "none.json"
-        paths["none"].write_text(json.dumps(_tiny_record(a=1.0)))
-        assert main(["compare", str(paths["ok"]), str(paths["unmeasured"])]) == 0
-        assert "parallel speedup gate: old ok, new unmeasured" in capsys.readouterr().out
-        assert main(["compare", str(paths["lost"]), str(paths["none"])]) == 0
-        assert "parallel speedup gate: old lost, new -" in capsys.readouterr().out
-        assert main(["compare", str(paths["none"]), str(paths["none"])]) == 0
-        assert "parallel speedup gate" not in capsys.readouterr().out
 
     def test_compare_rejects_non_bench_json(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ import pytest
 
 import repro.experiments.cli as cli_module
 from repro.experiments.cli import main
+from repro.experiments.external import drain_plans, plan_figures
 from repro.experiments.figures import generate
 from repro.experiments.io import write_csv
 from repro.experiments.parallel import StrategySpec, UniformPlatformSpec
@@ -18,6 +19,7 @@ from repro.experiments.runner import average_normalized_comm
 from repro.obs.sink import RecordingSink
 from repro.store.cache import ResultStore
 from repro.store.cells import replicate_cell_key
+from repro.store.claims import ClaimRegistry
 from repro.store.fingerprint import fingerprint
 
 STRATEGY = StrategySpec("RandomOuter", 12)
@@ -53,12 +55,11 @@ class TestRunnerCache:
 
     def test_serial_and_parallel_share_entries(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        serial = average_normalized_comm(STRATEGY, PLATFORM, 12, 3, seed=5, cache=store)
-        parallel = average_normalized_comm(
-            STRATEGY, PLATFORM, 12, 3, seed=5, workers=2, cache=store
-        )
-        assert serial == parallel
-        assert store.counts.hits == 1  # the parallel call never simulated
+        generate("fig01", scale="ci", seed=0, cache=store)
+        # The --workers N drain finds every cell the serial run stored.
+        plans = plan_figures(["fig01"], scale="ci", seed=0, cache=store)
+        stats = drain_plans(plans, store=store, claims=ClaimRegistry(store), helpers=1)
+        assert (stats.computed, stats.cached) == (0, 6)
 
     def test_metrics_replay_matches_live_run(self, tmp_path):
         store = ResultStore(str(tmp_path))

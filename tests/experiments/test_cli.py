@@ -1,10 +1,26 @@
 """Tests for the repro-experiments CLI."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.experiments.cli import build_parser, main
+from repro.store.cache import ResultStore
+from repro.store.journal import Journal
+
+SRC = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+RUN_SHIM = "import sys; from repro.experiments.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _computed(cache):
+    """Journal ``computed`` record count per cell fingerprint."""
+    counts = {}
+    for record in Journal(ResultStore(str(cache))).replay().records:
+        if record.state == "computed":
+            counts[record.cell] = counts.get(record.cell, 0) + 1
+    return counts
 
 
 class TestParser:
@@ -146,3 +162,58 @@ class TestWorkersExternal:
         assert "drained as" in out
         with open(plain / "fig01_ci.csv", "rb") as a, open(ext / "fig01_ci.csv", "rb") as b:
             assert a.read() == b.read()
+
+
+class TestClaimsTransport:
+    FIGURES = ["fig04", "fig06"]
+
+    def _run(self, outdir, *extra):
+        argv = ["run", *self.FIGURES, "--scale", "ci", "--quiet", "--outdir", str(outdir)]
+        assert main([*argv, *extra]) == 0
+
+    @staticmethod
+    def _csvs(outdir):
+        return {name: (outdir / name).read_bytes() for name in sorted(os.listdir(outdir))}
+
+    def test_worker_counts_write_identical_csvs(self, tmp_path, capsys):
+        self._run(tmp_path / "w1")
+        self._run(tmp_path / "w2", "--workers", "2")
+        self._run(tmp_path / "w2c", "--workers", "2", "--cache", str(tmp_path / "c2"))
+        assert capsys.readouterr().out.count("drained as") >= 2
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(SRC, "src"), env.get("PYTHONPATH", "")])
+        shared = tmp_path / "shared"
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", RUN_SHIM, "run", *self.FIGURES, "--scale", "ci",
+                 "--quiet", "--outdir", str(tmp_path / f"ext{i}"), "--cache", str(shared),
+                 "--workers-external"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+            )
+            for i in range(2)
+        ]
+        for proc in procs:
+            output = proc.communicate(timeout=300)[0]
+            assert proc.returncode == 0, output
+        reference = self._csvs(tmp_path / "w1")
+        assert sorted(reference) == ["fig04_ci.csv", "fig06_ci.csv"]
+        for name in ("w2", "w2c", "ext0", "ext1"):
+            assert self._csvs(tmp_path / name) == reference, name
+        for cache in (tmp_path / "c2", shared):
+            computed = _computed(cache)
+            assert len(computed) == 13 and set(computed.values()) == {1}, cache
+
+    @pytest.mark.parametrize("mode", [["--workers-external"], ["--workers", "2"]])
+    def test_resume_after_gc_computes_nothing(self, tmp_path, capsys, mode):
+        cache, out = tmp_path / "cache", tmp_path / "out"
+        argv = ["run", "fig01", "--scale", "ci", "--quiet", "--cache", str(cache),
+                "--outdir", str(out)]
+        assert main(argv) == 0
+        store = ResultStore(str(cache))
+        assert store.gc(0) and store.entries() == []
+        capsys.readouterr()
+        assert main([*argv, "--resume", *mode]) == 0
+        printed = capsys.readouterr().out
+        assert "already complete" in printed and "drained" not in printed
+        assert ResultStore(str(cache)).entries() == []
+        assert _computed(cache) == {}

@@ -7,12 +7,7 @@ import pytest
 
 import repro.experiments.runner as runner_module
 from repro.core.strategies import OuterDynamic, OuterRandom
-from repro.experiments.parallel import (
-    ScenarioPlatformSpec,
-    StrategySpec,
-    UniformPlatformSpec,
-    shutdown_pool,
-)
+from repro.experiments.parallel import ScenarioPlatformSpec, StrategySpec, UniformPlatformSpec
 from repro.experiments.runner import (
     average_normalized_comm,
     average_normalized_comm_group,
@@ -79,14 +74,6 @@ class TestMeanAnalysisRatio:
             mean_analysis_ratio("outer", factory, 10, reps=-1)
 
 
-class TestWorkersOption:
-    def test_workers_param_delegates_and_matches_serial(self):
-        strategy = lambda: OuterRandom(10)  # noqa: E731
-        serial = average_normalized_comm(strategy, factory, 10, 4, seed=0, workers=1)
-        parallel = average_normalized_comm(strategy, factory, 10, 4, seed=0, workers=2)
-        assert parallel == serial
-
-
 #: One figure point: a beta sweep (duplicate beta included), auto beta, the
 #: Dynamic* cell, and a cell outside the group.
 POINT = [
@@ -140,17 +127,33 @@ class TestGroupEntry:
         average_normalized_comm_group(matrix_point, UniformPlatformSpec(6), 5, 3, seed=4)
         assert calls == [5, 2]
 
-    def test_records_identical_planned_cells(self):
-        with collect_planned_cells() as loop_cells:
+    def test_plans_the_group_as_one_unit(self):
+        with collect_planned_cells() as loop_units:
             _per_cell(POINT, UniformPlatformSpec(6), seed=4)
-        with collect_planned_cells() as group_cells:
-            average_normalized_comm_group(POINT, UniformPlatformSpec(6), 10, 3, seed=4)
-        assert group_cells == loop_cells
-        assert len(group_cells) == len(POINT)
+        with collect_planned_cells() as group_units:
+            got = average_normalized_comm_group(POINT, UniformPlatformSpec(6), 10, 3, seed=4)
+        assert len(got) == len(POINT)
+        assert [len(unit) for unit in loop_units] == [1] * len(POINT)
+        # The five Dynamic-family cells (at the first member's position),
+        # then the RandomOuter cell: the same cells the loop plans.
+        assert [len(unit) for unit in group_units] == [5, 1]
+        assert group_units[1] == loop_units[1]
+        group_cells = [cell for unit in group_units for cell in unit]
+        loop_cells = [cell for unit in loop_units for cell in unit]
+        assert sorted(group_cells, key=repr) == sorted(loop_cells, key=repr)
 
-    @pytest.mark.parametrize(
-        "case", ["workers", "scalar", "sink", "dynamic-speeds", "seed-sequence"]
-    )
+    @pytest.mark.parametrize("case", ["scalar", "sink", "seed-sequence"])
+    def test_plans_cell_by_cell_when_not_grouped(self, case):
+        options = {
+            "scalar": {"vectorize": False},
+            "sink": {"sink": RecordingSink()},
+            "seed-sequence": {"seed": np.random.SeedSequence(7)},
+        }[case]
+        with collect_planned_cells() as units:
+            average_normalized_comm_group(POINT, UniformPlatformSpec(6), 10, 3, **options)
+        assert [len(unit) for unit in units] == [1] * len(POINT)
+
+    @pytest.mark.parametrize("case", ["scalar", "sink", "dynamic-speeds", "seed-sequence"])
     def test_delegates_cell_by_cell(self, monkeypatch, case):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the shared lockstep must not run")
@@ -164,19 +167,14 @@ class TestGroupEntry:
         def options():
             # Fresh per call: sinks and seed sequences carry state.
             return {
-                "workers": {"workers": 2},
                 "scalar": {"vectorize": False},
                 "sink": {"sink": RecordingSink()},
                 "seed-sequence": {"seed": np.random.SeedSequence(7)},
             }.get(case, {})
 
         loop_opts, group_opts = options(), options()
-        loop_opts.pop("workers", None)  # the serial loop is the reference
-        try:
-            expected = _per_cell(POINT, platform, **{"seed": 4, **loop_opts})
-            got = average_normalized_comm_group(POINT, platform, 10, 3, **{"seed": 4, **group_opts})
-        finally:
-            shutdown_pool()
+        expected = _per_cell(POINT, platform, **{"seed": 4, **loop_opts})
+        got = average_normalized_comm_group(POINT, platform, 10, 3, **{"seed": 4, **group_opts})
         assert got == expected
         if case == "sink":
             assert group_opts["sink"].snapshot() == loop_opts["sink"].snapshot()

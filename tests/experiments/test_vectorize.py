@@ -1,28 +1,18 @@
-"""Vectorized-engine wiring through the runner, parallel and bench layers.
+"""Vectorized-engine wiring through the runner and bench layers.
 
 The engine-level equivalence lives in ``tests/simulator/test_batch.py``;
 here we pin the plumbing: ``vectorize`` mode resolution, bit-identical
 summaries/snapshots across engine selections, cache coherence across
-modes, the per-worker chunking default, warm-pool reuse, and the bench
-suite's scaling workloads and derived metrics.
+modes, and the bench suite's scaling workloads and derived metrics.
 """
 
 import pytest
 
-import repro.experiments.parallel as parallel_module
 from repro.experiments.bench import _derive_metrics, build_suite
-from repro.experiments.parallel import (
-    RepJob,
-    StrategySpec,
-    UniformPlatformSpec,
-    _chunk_indices,
-    parallel_average_normalized_comm,
-    shutdown_pool,
-)
+from repro.experiments.parallel import StrategySpec, UniformPlatformSpec
 from repro.experiments.runner import average_normalized_comm
 from repro.obs.sink import RecordingSink
 from repro.store.cache import ResultStore
-from repro.utils.rng import spawn_seed_sequences
 
 
 @pytest.fixture
@@ -87,50 +77,11 @@ class TestRunnerVectorize:
         assert store.counts.hits == 1
 
 
-class TestParallelVectorize:
-    def test_job_run_respects_index_order_when_vectorized(self, cell):
-        strategy, platform = cell
-        job = RepJob(
-            strategy, platform, 6, spawn_seed_sequences(0, 4), vectorize=True
-        )
-        forward = job.run([0, 1, 2, 3])
-        assert job.run([3, 2, 1, 0]) == forward[::-1]
-        scalar_job = RepJob(
-            strategy, platform, 6, spawn_seed_sequences(0, 4), vectorize=False
-        )
-        assert scalar_job.run([0, 1, 2, 3]) == forward
-
-    def test_parallel_matches_serial_with_vectorize(self, cell):
-        strategy, platform = cell
-        serial = average_normalized_comm(strategy, platform, 6, 5, seed=4, vectorize=False)
-        par = parallel_average_normalized_comm(
-            strategy, platform, 6, 5, seed=4, workers=2, vectorize="auto"
-        )
-        assert serial == par
-
-    def test_warm_pool_is_reused_across_calls(self, cell):
-        strategy, platform = cell
-        try:
-            parallel_average_normalized_comm(strategy, platform, 6, 4, seed=1, workers=2)
-            first = parallel_module._POOL
-            parallel_average_normalized_comm(strategy, platform, 6, 4, seed=2, workers=2)
-            assert parallel_module._POOL is first
-            assert first is not None
-        finally:
-            shutdown_pool()
-        assert parallel_module._POOL is None
-
-    def test_default_chunking_is_one_chunk_per_worker(self):
-        assert _chunk_indices(10, 3, None) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        assert _chunk_indices(8, 4, None) == [[0, 1], [2, 3], [4, 5], [6, 7]]
-        assert _chunk_indices(3, 8, None) == [[0], [1], [2]]
-
-
 class TestBenchScaling:
     def test_scaling_suite_shape(self):
         names = [wl.name for wl in build_suite("scaling")]
         for reps in (1, 4, 16, 64):
-            for engine in ("serial", "vectorized", "parallel4"):
+            for engine in ("serial", "vectorized"):
                 assert f"scaling_reps{reps:02d}_{engine}" in names
         assert "twophase_beta_sweep_serial" in names
         assert "twophase_beta_sweep_vectorized" in names
@@ -138,7 +89,7 @@ class TestBenchScaling:
             for reps in (2, 5, 10):
                 for engine in ("serial", "vectorized"):
                     assert f"lockstep_{label}_reps{reps:02d}_{engine}" in names
-        assert len(names) == 26
+        assert len(names) == 22
 
     def test_scaling_suite_records_engine_params(self):
         by_name = {wl.name: wl for wl in build_suite("scaling")}
@@ -162,7 +113,7 @@ class TestBenchScaling:
             "twophase_beta_sweep_serial": self._entry(6.0),
             "twophase_beta_sweep_vectorized": self._entry(1.0),
         }
-        derived = _derive_metrics(entries, cpu_count=4)
+        derived = _derive_metrics(entries)
         assert derived["twophase_beta_sweep_speedup"] == 6.0
 
     def test_quick_suite_has_vectorized_workload(self):
@@ -176,36 +127,20 @@ class TestBenchScaling:
     def test_derive_metrics_speedups(self):
         entries = {
             "replicate_sweep_serial": self._entry(4.0),
-            "replicate_sweep_parallel4": self._entry(2.0),
             "replicate_sweep_vectorized": self._entry(0.5),
         }
-        derived = _derive_metrics(entries, cpu_count=4)
-        assert derived["replicate_sweep_speedup"] == 2.0
-        assert derived["parallel_speedup_ok"] is True
-        assert derived["replicate_sweep_vectorized_speedup"] == 8.0
-
-    def test_derive_metrics_flags_parallel_loss_on_multicore(self):
-        entries = {
-            "replicate_sweep_serial": self._entry(2.0),
-            "replicate_sweep_parallel4": self._entry(4.0),
-        }
-        assert _derive_metrics(entries, cpu_count=4)["parallel_speedup_ok"] is False
-        # Unmeasured on a single-CPU machine: parallelism cannot win there,
-        # so the ratio proves nothing either way.
-        assert _derive_metrics(entries, cpu_count=1)["parallel_speedup_ok"] is None
-        assert _derive_metrics(entries, cpu_count=None)["parallel_speedup_ok"] is None
+        assert _derive_metrics(entries) == {"replicate_sweep_vectorized_speedup": 8.0}
 
     def test_derive_metrics_scaling_curve(self):
         entries = {}
         for reps in (1, 4, 16, 64):
             entries[f"scaling_reps{reps:02d}_serial"] = self._entry(1.0 * reps)
             entries[f"scaling_reps{reps:02d}_vectorized"] = self._entry(0.2 * reps)
-            entries[f"scaling_reps{reps:02d}_parallel4"] = self._entry(0.5 * reps)
-        curve = _derive_metrics(entries, cpu_count=4)["scaling_curve"]
+        curve = _derive_metrics(entries)["scaling_curve"]
         assert [row["reps"] for row in curve] == [1, 4, 16, 64]
         for row in curve:
+            assert set(row) == {"reps", "serial_s", "vectorized_s", "vectorized_speedup"}
             assert row["vectorized_speedup"] == pytest.approx(5.0)
-            assert row["parallel_speedup"] == pytest.approx(2.0)
 
     def test_derive_metrics_lockstep_curve(self):
         entries = {}
@@ -214,7 +149,7 @@ class TestBenchScaling:
                 entries[f"lockstep_{label}_reps{reps:02d}_serial"] = self._entry(1.0 * reps)
                 entries[f"lockstep_{label}_reps{reps:02d}_vectorized"] = self._entry(0.25 * reps)
         del entries["lockstep_matrix_reps10_vectorized"]  # an incomplete pair is skipped
-        curve = _derive_metrics(entries, cpu_count=4)["lockstep_curve"]
+        curve = _derive_metrics(entries)["lockstep_curve"]
         assert [(row["strategy"], row["reps"]) for row in curve] == [
             ("DynamicOuter", 2),
             ("DynamicOuter", 5),
@@ -227,4 +162,4 @@ class TestBenchScaling:
             assert row["serial_s"] == pytest.approx(row["reps"])
 
     def test_derive_metrics_empty(self):
-        assert _derive_metrics({}, cpu_count=4) == {}
+        assert _derive_metrics({}) == {}

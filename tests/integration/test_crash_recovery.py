@@ -1,11 +1,11 @@
 """Crash recovery: a SIGKILLed worker's cell is stolen and the CSV still matches.
 
-A real subprocess (``tools/claims_smoke.py hold``) claims the first cell
-of fig01's CI grid over a shared store and parks mid-cell; the test
-SIGKILLs it, then drains the grid as a second worker with a short
-staleness window.  The dead worker's claim must be stolen, every cell
-computed exactly once, and the assembled CSV byte-identical to an
-uninterrupted single-process run.
+A real subprocess (``tools/claims_smoke.py hold``) claims one member of a
+shared phase-1 group unit of fig04's CI plan over a shared store and parks
+mid-cell; the test SIGKILLs it, then drains the plan as a second worker
+with a short staleness window.  The dead worker's claim must be stolen,
+every cell computed exactly once, and the assembled CSV byte-identical to
+an uninterrupted single-process run.
 """
 
 import os
@@ -13,7 +13,7 @@ import signal
 import subprocess
 import sys
 
-from repro.experiments.external import drain_figure, external_job_id
+from repro.experiments.external import drain_plans, external_job_id, plan_figures
 from repro.experiments.figures import generate
 from repro.experiments.io import write_csv
 from repro.store.cache import ResultStore
@@ -23,7 +23,7 @@ from repro.store.journal import Journal
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SMOKE = os.path.join(ROOT, "tools", "claims_smoke.py")
 
-FIGURE, SCALE, SEED = "fig01", "ci", 0
+FIGURE, SCALE, SEED = "fig04", "ci", 0
 
 
 def spawn_holder(root):
@@ -49,6 +49,13 @@ def test_sigkilled_worker_is_stolen_from_and_csv_matches(tmp_path):
         line = holder.stdout.readline()
         assert line.startswith("holding "), f"holder never claimed: {line!r}"
         held_fp = line.split()[1]
+        groups = [
+            unit.cells
+            for plan in plan_figures([FIGURE], scale=SCALE, seed=SEED)
+            for unit in plan.units
+            if len(unit.cells) > 1
+        ]
+        assert any(held_fp in cells for cells in groups), "holder did not claim a group member"
         holder.send_signal(signal.SIGKILL)
         holder.wait(timeout=30)
     finally:
@@ -61,10 +68,8 @@ def test_sigkilled_worker_is_stolen_from_and_csv_matches(tmp_path):
     assert claims.read_claim(held_fp) is not None
 
     journal = Journal(store)
-    stats = drain_figure(
-        FIGURE,
-        scale=SCALE,
-        seed=SEED,
+    stats = drain_plans(
+        plan_figures([FIGURE], scale=SCALE, seed=SEED, cache=store),
         store=store,
         claims=claims,
         journal=journal,

@@ -6,8 +6,8 @@ processes and a real SIGKILL:
 
 1. a **reference** run computes one figure single-process (no cache) and
    writes its CSV;
-2. a **holder** subprocess claims the first cell of the same figure's grid
-   over a shared store, journals ``claimed``, and parks — then is
+2. a **holder** subprocess claims a member of the figure's first group
+   unit over a shared store, journals ``claimed``, and parks — then is
    SIGKILLed mid-cell, exactly like a worker dying on a cluster node;
 3. two **survivor** subprocesses run
    ``repro-experiments run --workers-external`` against the shared store;
@@ -25,7 +25,7 @@ Run it from the repo root::
 ``hold`` mode (used internally, and by the crash-recovery integration
 test) runs step 2 only::
 
-    python tools/claims_smoke.py hold <store-root> --figure fig01 --scale ci
+    python tools/claims_smoke.py hold <store-root> --figure fig04 --scale ci
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import List, Optional
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.experiments.external import external_job_id, plan_figure_cells  # noqa: E402
+from repro.experiments.external import external_job_id, plan_figures  # noqa: E402
 from repro.store.cache import ResultStore  # noqa: E402
 from repro.store.claims import ClaimRegistry  # noqa: E402
 from repro.store.journal import Journal  # noqa: E402
@@ -60,7 +60,7 @@ def _env() -> dict:
 
 
 def hold(root: str, figure: str, scale: str, seed: int) -> int:
-    """Claim the figure's first grid cell, journal it, park until killed.
+    """Claim the first member of the figure's first group unit, park until killed.
 
     Prints ``holding <fingerprint>`` once the claim is on disk (the parent
     synchronizes on that line), heartbeats so the claim stays live while
@@ -68,11 +68,10 @@ def hold(root: str, figure: str, scale: str, seed: int) -> int:
     which is the point.
     """
     store = ResultStore(root)
-    plan = plan_figure_cells(figure, scale=scale, seed=seed)
-    fingerprints = sorted(c.fingerprint for c in plan if c.fingerprint is not None)
-    if not fingerprints:
+    units = [unit.cells for plan in plan_figures([figure], scale=scale, seed=seed) for unit in plan.units]
+    if not units:
         raise SystemExit(f"figure {figure} planned no cacheable cells")
-    fp = fingerprints[0]
+    fp = ([cells for cells in units if len(cells) > 1] or units)[0][0]
     claims = ClaimRegistry(store, stale_after=30.0)
     if not claims.try_claim(fp):
         raise SystemExit(f"could not claim {fp}: already claimed?")
@@ -197,10 +196,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="mode")
     holder = sub.add_parser("hold", help="claim one cell and park until killed")
     holder.add_argument("root", help="shared store root")
-    holder.add_argument("--figure", default="fig01")
+    holder.add_argument("--figure", default="fig04")
     holder.add_argument("--scale", default="ci")
     holder.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--figure", default="fig01")
+    parser.add_argument("--figure", default="fig04")
     parser.add_argument("--scale", default="ci")
     parser.add_argument("--stale-after", type=float, default=2.0)
     args = parser.parse_args(argv)
