@@ -1,23 +1,30 @@
-"""repro.analyze — whole-program determinism & concurrency analyzer.
+"""repro.analyze — the one static checker: per-file rules plus whole-program checks.
 
-Where :mod:`repro.lint` checks one module at a time, this package builds a
-*whole-program* view — symbol table, import graph and an approximate call
-graph over ``src/repro`` — and runs interprocedural checks on it:
+``repro-analyze check`` parses the tree once and runs one registry of
+checks over it (:data:`repro.analyze.checks.ALL_CHECKS`):
 
-* **A-TAINT** — no wall-clock/entropy/unordered-iteration source reachable
-  from the simulation engines or the fingerprint/exporter paths
-  (:mod:`repro.analyze.taint`);
-* **A-LOCK** / **A-LOCK-HELD** — every ``repro.store`` mutation dominated
-  by FileLock acquisition, and no lock held across slow or forking calls
-  (:mod:`repro.analyze.locks`);
-* **A-PURE** — strategy hooks write no shared state and do no I/O
-  (:mod:`repro.analyze.purity`);
-* **A-DRIFT** / **A-DEAD** — ``docs/API.md`` matches ``__all__``, and
-  exported functions are actually used (:mod:`repro.analyze.drift`).
+* the per-file R-* rules of :mod:`repro.lint.rules` — RNG discipline,
+  float equality, validation at the boundary, the strategy registry,
+  ``__all__`` and docstring contracts, exception hygiene;
+* interprocedural A-* checks over a *whole-program* view — symbol table,
+  import graph and an approximate call graph over ``src/repro``:
+
+  * **A-TAINT** — no wall-clock/entropy/unordered-iteration source
+    reachable from the simulation engines, the fingerprint/exporter paths
+    or any function of the deterministic packages
+    (:mod:`repro.analyze.taint`);
+  * **A-LOCK** / **A-LOCK-HELD** — every ``repro.store`` mutation
+    dominated by FileLock acquisition, and no lock held across slow or
+    forking calls (:mod:`repro.analyze.locks`);
+  * **A-PURE** — strategy hooks write no shared state and do no I/O
+    (:mod:`repro.analyze.purity`);
+  * **A-DRIFT** / **A-DEAD** — ``docs/API.md`` matches ``__all__``, and
+    exported functions are actually used (:mod:`repro.analyze.drift`).
 
 CLI: ``repro-analyze check|graph|explain`` (``python -m repro.analyze``).
-Known debt lives in a committed baseline that may only shrink; see
-:mod:`repro.analyze.baseline` and ``docs/ANALYSIS.md``.
+Known A-* debt lives in a committed baseline that may only shrink; see
+:mod:`repro.analyze.baseline` and ``docs/ANALYSIS.md``.  R-* findings carry
+no key: they are fixed or ``noqa``'d, never baselined.
 
 Programmatic use::
 
@@ -40,7 +47,6 @@ from repro.analyze.checks import (
     AnalysisModel,
     AnalyzeCheck,
     build_model,
-    default_checks,
     run_analysis,
     select_checks,
 )
@@ -69,7 +75,6 @@ __all__ = [
     "build_call_graph",
     "build_model",
     "build_project",
-    "default_checks",
     "load_baseline",
     "run_analysis",
     "save_baseline",

@@ -19,6 +19,10 @@ interpretation:
   resolve to *every* registered class, so ``make_strategy`` edges into each
   strategy constructor.
 
+Import-time code — top-level statements, and the decorators, bases and
+non-method body of each top-level class — is recorded under one synthetic
+caller per module, ``pkg.mod:<module>`` (:meth:`CallGraph.module_caller`).
+
 Unresolvable callees (``fh.write``, numpy internals, dynamic dispatch the
 model cannot see) are counted, not guessed — the checks built on top treat
 absence of an edge as "not proven", and the fixture tests pin the cases
@@ -77,6 +81,9 @@ class _SuperRef:
 
 
 _Ref = Union[_ModuleRef, _ClassRef, _InstanceRef, _FuncRef, _ClassSetRef, _ExternalRef, _SuperRef]
+
+#: Suffix of the synthetic caller owning a module's import-time code.
+_MODULE_CALLER = ":<module>"
 
 #: Builtin callables treated as externals under their bare name.
 _BUILTINS = frozenset(
@@ -196,13 +203,47 @@ class CallGraph:
         return parents
 
     def _skipped(self, qualname: str, skip: Tuple[str, ...]) -> bool:
-        symbol = self.project.functions.get(qualname)
-        if symbol is None:
+        module = self.module_of(qualname)
+        if module is None:
             return False
-        return any(
-            symbol.module == prefix or symbol.module.startswith(prefix + ".")
-            for prefix in skip
-        )
+        return any(module == prefix or module.startswith(prefix + ".") for prefix in skip)
+
+    @staticmethod
+    def module_caller(module: str) -> str:
+        """The synthetic caller that owns *module*'s import-time code."""
+        return f"{module}{_MODULE_CALLER}"
+
+    def module_of(self, qualname: str) -> Optional[str]:
+        """The module a function or a :meth:`module_caller` lives in."""
+        symbol = self.project.functions.get(qualname)
+        if symbol is not None:
+            return symbol.module
+        if qualname.endswith(_MODULE_CALLER):
+            return qualname[: -len(_MODULE_CALLER)]
+        return None
+
+    def module_level(self, module: str) -> ast.Module:
+        """*module*'s import-time code: what no indexed function owns.
+
+        Top-level statements other than function and class definitions,
+        plus each top-level class's decorators, bases, keywords and body
+        statements other than its methods.
+        """
+        body: List[ast.stmt] = []
+        for node in self.project.modules[module].info.tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.ClassDef):
+                heads = [*node.decorator_list, *node.bases, *(k.value for k in node.keywords)]
+                body.extend(ast.Expr(value=expr) for expr in heads)
+                body.extend(
+                    item
+                    for item in node.body
+                    if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+            else:
+                body.append(node)
+        return ast.Module(body=body, type_ignores=[])
 
     def chain(self, parents: Mapping[str, Optional[ChainLink]], qualname: str) -> List[str]:
         """Root-to-*qualname* call chain as rendered ``qual (path:line)`` steps."""
@@ -215,8 +256,7 @@ class CallGraph:
         steps.reverse()
         out: List[str] = []
         for qual, link in steps:
-            symbol = self.project.functions.get(qual)
-            where = str(symbol.module) if symbol is not None else "?"
+            where = self.module_of(qual) or "?"
             if link is None:
                 out.append(f"{qual} [{where}]")
             else:
@@ -274,19 +314,13 @@ class CallGraph:
                     cls.attr_types.setdefault(target.attr, resolved)
 
     def _analyze_module_level(self, mod: ModuleSymbols) -> None:
-        """Resolve calls in module-level statements under a synthetic caller."""
-        qual = f"{mod.name}:<module>"
+        """Resolve calls in import-time code under :meth:`module_caller`."""
+        qual = self.module_caller(mod.name)
         facts = _FunctionFacts()
         env: Dict[str, _Ref] = {}
-        toplevel = [
-            node
-            for node in mod.info.tree.body
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        ]
-        for node in toplevel:
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call):
-                    self._resolve_call_site(qual, mod, None, env, call, facts)
+        for call in ast.walk(self.module_level(mod.name)):
+            if isinstance(call, ast.Call):
+                self._resolve_call_site(qual, mod, None, env, call, facts)
         if facts.sites:
             self._facts[qual] = facts
 

@@ -1,10 +1,14 @@
-"""Check registry and shared analysis model for :mod:`repro.analyze`.
+"""Check registry and shared analysis model of ``repro-analyze check``.
 
-Checks are :class:`repro.lint.framework.Rule` subclasses implementing
-``check_package``, so the lint framework's noqa suppression, sorting and
-reporters apply unchanged.  They differ from lint rules in what they see:
-each check receives an :class:`AnalysisModel` — the project symbol table
-plus call graph — built once per run and shared across checks.
+The registry holds both kinds of check, all :class:`repro.lint.framework.Rule`
+subclasses, so the lint framework's noqa suppression, sorting and
+reporters apply to every one of them:
+
+* the per-file R-* rules of :mod:`repro.lint.rules`, which see one module
+  at a time;
+* the interprocedural A-* checks of this package, which implement
+  ``check_package`` over an :class:`AnalysisModel` — the project symbol
+  table plus call graph — built once per run and shared across checks.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from repro.analyze.callgraph import CallGraph, build_call_graph
 from repro.analyze.findings import AnalysisFinding
 from repro.analyze.project import Project, build_project
 from repro.lint.framework import Finding, ModuleInfo, Rule, run_lint
+from repro.lint.rules import ALL_RULES
 
 __all__ = [
     "ALL_CHECKS",
@@ -24,7 +29,6 @@ __all__ = [
     "AnalysisModel",
     "AnalyzeCheck",
     "build_model",
-    "default_checks",
     "run_analysis",
     "select_checks",
 ]
@@ -92,15 +96,39 @@ class AnalyzeCheck(Rule):
         )
 
 
-def _check_index() -> Dict[str, Type[AnalyzeCheck]]:
+def _check_index() -> Dict[str, Type[Rule]]:
     return {cls.id: cls for cls in ALL_CHECKS}
 
 
-def default_checks(
-    model: Optional[AnalysisModel] = None, *, api_doc: Optional[str] = None
-) -> List[AnalyzeCheck]:
-    """Fresh instances of the full check set sharing one *model*."""
-    return _instantiate(list(_check_index()), model, api_doc)
+def _select(
+    select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
+) -> List[Type[Rule]]:
+    """Registry classes kept by *select* minus *ignore*; unknown ids raise."""
+    index = _check_index()
+    chosen = list(index)
+    for ids, keep in ((select, True), (ignore, False)):
+        if ids is None:
+            continue
+        named = [s.upper() for s in ids]
+        unknown = sorted(set(named) - set(index))
+        if unknown:
+            raise ValueError(f"unknown check id(s): {', '.join(unknown)}")
+        chosen = [cid for cid in chosen if (cid in named) == keep]
+    return [index[cid] for cid in chosen]
+
+
+def _instantiate(
+    classes: Sequence[Type[Rule]], model: Optional[AnalysisModel], api_doc: Optional[str]
+) -> List[Rule]:
+    checks: List[Rule] = []
+    for cls in classes:
+        if issubclass(cls, ApiDrift):
+            checks.append(cls(model=model, api_doc=api_doc))
+        elif issubclass(cls, AnalyzeCheck):
+            checks.append(cls(model=model))
+        else:
+            checks.append(cls())
+    return checks
 
 
 def select_checks(
@@ -109,39 +137,14 @@ def select_checks(
     *,
     model: Optional[AnalysisModel] = None,
     api_doc: Optional[str] = None,
-) -> List[AnalyzeCheck]:
-    """The check set filtered by id; unknown ids raise ``ValueError``."""
-    index = _check_index()
-    chosen = list(index)
-    if select is not None:
-        wanted = [s.upper() for s in select]
-        unknown = sorted(set(wanted) - set(index))
-        if unknown:
-            raise ValueError(f"unknown check id(s): {', '.join(unknown)}")
-        chosen = [cid for cid in chosen if cid in wanted]
-    if ignore is not None:
-        dropped = [s.upper() for s in ignore]
-        unknown = sorted(set(dropped) - set(index))
-        if unknown:
-            raise ValueError(f"unknown check id(s): {', '.join(unknown)}")
-        chosen = [cid for cid in chosen if cid not in dropped]
-    return _instantiate(chosen, model, api_doc)
+) -> List[Rule]:
+    """Fresh instances of the registry filtered by id, R-* and A-* alike.
 
-
-def _instantiate(
-    ids: List[str], model: Optional[AnalysisModel], api_doc: Optional[str]
-) -> List[AnalyzeCheck]:
-    from repro.analyze.drift import ApiDrift
-
-    index = _check_index()
-    checks: List[AnalyzeCheck] = []
-    for cid in ids:
-        cls = index[cid]
-        if issubclass(cls, ApiDrift):
-            checks.append(cls(model=model, api_doc=api_doc))
-        else:
-            checks.append(cls(model=model))
-    return checks
+    *select* keeps only the named checks and *ignore* drops the named
+    checks; unknown ids raise ``ValueError`` so typos fail loudly.  The A-*
+    checks share *model*.
+    """
+    return _instantiate(_select(select, ignore), model, api_doc)
 
 
 def run_analysis(
@@ -151,15 +154,18 @@ def run_analysis(
     ignore: Optional[Iterable[str]] = None,
     api_doc: Optional[str] = None,
 ) -> List[Finding]:
-    """Run the (filtered) analyzer check set over *modules*.
+    """Run the (filtered) check set over *modules*.
 
-    Builds the shared model once, runs every check through the lint
-    framework (so per-line ``# repro: noqa[A-...]`` suppressions apply) and
-    returns the sorted findings.
+    Builds the shared model once — only when an A-* check is selected —
+    runs every check through the lint framework (so per-line
+    ``# repro: noqa[...]`` suppressions apply) and returns the sorted
+    findings.
     """
-    model = build_model(modules)
-    checks = select_checks(select, ignore, model=model, api_doc=api_doc)
-    return run_lint(modules, checks)
+    classes = _select(select, ignore)
+    model = None
+    if any(issubclass(cls, AnalyzeCheck) for cls in classes):
+        model = build_model(modules)
+    return run_lint(modules, _instantiate(classes, model, api_doc))
 
 
 # Imported late so the check modules can import AnalyzeCheck from here.
@@ -168,8 +174,10 @@ from repro.analyze.locks import LockDiscipline, LockHeldAcrossSlowCall  # noqa: 
 from repro.analyze.purity import StrategyPurity  # noqa: E402
 from repro.analyze.taint import DeterminismTaint  # noqa: E402
 
-#: Every analyzer check, in reporting-priority order.
-ALL_CHECKS: List[Type[AnalyzeCheck]] = [
+#: Every check of ``repro-analyze check``, in reporting-priority order: the
+#: per-file rules first, then the interprocedural checks.
+ALL_CHECKS: List[Type[Rule]] = [
+    *ALL_RULES,
     DeterminismTaint,
     LockDiscipline,
     LockHeldAcrossSlowCall,

@@ -2,15 +2,18 @@
 
 Three subcommands:
 
-* ``check`` — run the interprocedural check set, optionally against a
-  committed baseline (known findings suppressed, stale entries fail);
+* ``check`` — run every check, the per-file R-* rules and the
+  interprocedural A-* checks, over one parse of the tree, optionally
+  against a committed baseline (known findings suppressed, stale entries
+  fail);
 * ``graph`` — summarize the project call graph, or list the callers /
   callees of one function;
 * ``explain KEY`` — re-run the analysis and print the full root-to-source
   call chain for the finding with that key.
 
-Exit codes follow ``repro-lint``: 0 clean, 1 findings (or stale baseline
-entries), 2 usage or I/O errors.
+Exit codes follow grep-like tools, so CI can tell violations from a broken
+checker: 0 clean, 1 findings (or stale baseline entries), 2 usage or I/O
+errors.
 """
 
 from __future__ import annotations
@@ -41,15 +44,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
         description=(
-            "Whole-program determinism and concurrency analyzer for the "
-            "repro scheduler codebase: call-graph construction plus "
+            "The static checker of the repro scheduler codebase: per-file "
+            "rules (RNG discipline, validation-at-boundary, registry and "
+            "__all__ contracts) plus call-graph construction and "
             "interprocedural taint, lock-discipline, strategy-purity and "
             "API-drift checks."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="run the analyzer check set")
+    check = sub.add_parser("check", help="run the check set")
     _add_tree_args(check)
     check.add_argument(
         "--format",
@@ -182,7 +186,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(render_json(findings))
     else:
-        print(render_text(findings, prog="repro-analyze"))
+        print(render_text(findings))
     for key in stale:
         print(
             f"repro-analyze: stale baseline entry {key} — the finding no "

@@ -1,13 +1,25 @@
 """Determinism taint check (A-TAINT).
 
-The paper's results only reproduce when every function reachable from the
-simulation engines and the exporter/fingerprint paths is a pure function of
-``(config, seed)``.  This check walks the call graph *forward* from those
-roots and flags any reached function that contains a nondeterminism
-source:
+The paper's results only reproduce when every simulated run is a pure
+function of ``(config, seed)``.  This check walks the call graph *forward*
+from two kinds of root and flags any reached function that contains a
+nondeterminism source.  The roots are:
 
-* wall-clock and OS-entropy reads (``time.time``, ``datetime.now``,
-  ``os.urandom``, ``uuid.uuid4``, stdlib ``random.*``, ``secrets.*``);
+* the simulation engines' entry points and the exporter/fingerprint
+  paths (:data:`ENTRY_ROOT_PATTERNS`);
+* every function defined in :data:`DETERMINISTIC_PACKAGES` — the
+  simulator, strategies, task pools and fault models, and the metrics and
+  experiment drivers (their CLIs included), whose records carry simulated
+  time only — whether or not an entry point reaches it, and the
+  import-time code of those packages' modules (module-level statements
+  and class bodies).  A function an entry point does reach keeps the
+  chain from that entry point.
+
+The sources are:
+
+* wall-clock, OS-entropy and process-identity reads (``time.time``,
+  ``datetime.now``, ``os.urandom``, ``os.getpid``, ``uuid.uuid4``, stdlib
+  ``random.*``, ``secrets.*``);
 * filesystem enumeration whose order the OS chooses (``os.listdir``,
   ``glob.glob``, ``os.scandir``, ``os.walk``) unless directly wrapped in
   ``sorted(...)``;
@@ -17,10 +29,13 @@ source:
 Declared *sanitized boundaries* are not traversed: :mod:`repro.obs.profile`
 (the one sanctioned wall-clock module), :mod:`repro.utils.rng` (the one
 sanctioned entropy boundary — fresh entropy only ever enters through an
-explicit ``seed=None``), the :mod:`repro.serve` service layer (request
+explicit ``seed=None``), :mod:`repro.store.claims` (claim heartbeats,
+staleness and drain polling read wall time by design, through an
+injectable clock; what a claim guards comes from the deterministic engine
+through the store), the :mod:`repro.serve` service layer (request
 latencies and quota refill are wall-clock by nature; simulation results it
 returns come from the deterministic engine through the store), and CLI
-entry-point modules.
+entry-point modules outside :data:`DETERMINISTIC_PACKAGES`.
 """
 
 from __future__ import annotations
@@ -32,7 +47,14 @@ from repro.analyze.checks import ENGINE_ENTRY_POINTS, AnalysisModel, AnalyzeChec
 from repro.analyze.findings import AnalysisFinding
 from repro.lint.framework import Severity
 
-__all__ = ["ENTRY_ROOT_PATTERNS", "DeterminismTaint", "entry_roots", "sanitized_modules"]
+__all__ = [
+    "DETERMINISTIC_PACKAGES",
+    "ENTRY_ROOT_PATTERNS",
+    "DeterminismTaint",
+    "entry_roots",
+    "package_roots",
+    "sanitized_modules",
+]
 
 #: Call-graph roots: the deterministic core every source must stay out of.
 #: Exact qualnames, or ``module.*`` for every public function of a module.
@@ -41,7 +63,19 @@ ENTRY_ROOT_PATTERNS: Tuple[str, ...] = ENGINE_ENTRY_POINTS + (
     "repro.obs.export.*",
 )
 
-#: Exact external names that read a clock or entropy pool.
+#: Packages whose every function is a root as well, reached or not: the
+#: engines' building blocks, and the metrics and experiment drivers whose
+#: records must carry simulated time only.
+DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
+    "repro.simulator",
+    "repro.core.strategies",
+    "repro.taskpool",
+    "repro.faults",
+    "repro.obs",
+    "repro.experiments",
+)
+
+#: Exact external names that read a clock, an entropy pool or the process id.
 _SOURCE_CALLS = frozenset(
     {
         "time.time",
@@ -58,10 +92,12 @@ _SOURCE_CALLS = frozenset(
         "datetime.today",
         "datetime.datetime.now",
         "datetime.datetime.utcnow",
+        "datetime.datetime.today",
         "datetime.date.today",
         "date.today",
         "os.urandom",
         "os.getrandom",
+        "os.getpid",
         "uuid.uuid1",
         "uuid.uuid4",
     }
@@ -95,16 +131,34 @@ def entry_roots(model: AnalysisModel) -> List[str]:
     return roots
 
 
+def _deterministic(module: str) -> bool:
+    return any(module == pkg or module.startswith(pkg + ".") for pkg in DETERMINISTIC_PACKAGES)
+
+
+def package_roots(model: AnalysisModel) -> List[str]:
+    """Every function and module-level caller of :data:`DETERMINISTIC_PACKAGES`."""
+    functions = [
+        qual
+        for qual, symbol in sorted(model.project.functions.items())
+        if _deterministic(symbol.module)
+    ]
+    modules = [
+        model.graph.module_caller(name)
+        for name in sorted(model.project.modules)
+        if _deterministic(name)
+    ]
+    return functions + modules
+
+
 def sanitized_modules(model: AnalysisModel) -> List[str]:
     """Modules the taint walk must not traverse into."""
     out = []
     for name in sorted(model.project.modules):
         if (
-            name in ("repro.obs.profile", "repro.utils.rng")
+            name in ("repro.obs.profile", "repro.utils.rng", "repro.store.claims")
             or name == "repro.serve"
             or name.startswith("repro.serve.")
-            or name.endswith(".cli")
-            or name.endswith(".__main__")
+            or (name.endswith((".cli", ".__main__")) and not _deterministic(name))
         ):
             out.append(name)
     return out
@@ -116,26 +170,35 @@ class DeterminismTaint(AnalyzeCheck):
     id = "A-TAINT"
     severity = Severity.ERROR
     description = (
-        "no wall-clock, OS-entropy, unordered-filesystem or raw-set-iteration "
-        "source may be reachable from simulate()/simulate_batch()/"
-        "simulate_sweep() or the fingerprint/exporter paths (sanitized: "
-        "repro.obs.profile, repro.utils.rng, repro.serve, CLI modules)"
+        "no wall-clock, OS-entropy, process-id, unordered-filesystem or "
+        "raw-set-iteration source may be reachable from simulate()/"
+        "simulate_batch()/simulate_sweep(), the fingerprint/exporter paths "
+        f"or any function or import-time code of {', '.join(DETERMINISTIC_PACKAGES)} "
+        "(sanitized: repro.obs.profile, repro.utils.rng, repro.store.claims, "
+        "repro.serve, other packages' CLI modules)"
     )
 
     def analyze(self, model: AnalysisModel) -> Iterator[AnalysisFinding]:
-        roots = entry_roots(model)
-        parents = model.graph.reachable(roots, skip_modules=sanitized_modules(model))
+        skip = sanitized_modules(model)
+        parents = model.graph.reachable(entry_roots(model), skip_modules=skip)
+        # Package roots only add what the entry roots miss, so a function an
+        # entry root reaches keeps the chain from that entry root.
+        rest = [qual for qual in package_roots(model) if qual not in parents]
+        for qual, link in model.graph.reachable(rest, skip_modules=skip).items():
+            parents.setdefault(qual, link)
         for qual in sorted(parents):
-            symbol = model.project.functions.get(qual)
-            if symbol is None:  # pragma: no cover - roots are real functions
+            module = model.graph.module_of(qual)
+            if module is None:  # pragma: no cover - roots are functions or modules
                 continue
-            for source_name, node in self._direct_sources(model, qual):
+            symbol = model.project.functions.get(qual)
+            body = symbol.node if symbol is not None else model.graph.module_level(module)
+            for source_name, node in self._direct_sources(model, qual, body):
                 chain = tuple(model.graph.chain(parents, qual)) + (
                     f"{source_name} at line {getattr(node, 'lineno', 1)}",
                 )
                 yield self.analysis_finding(
                     model,
-                    symbol.module,
+                    module,
                     node,
                     f"nondeterminism source {source_name} is reachable from "
                     f"the deterministic core (entry: {chain[0].split(' ')[0]}); "
@@ -147,22 +210,19 @@ class DeterminismTaint(AnalyzeCheck):
     # -- source detection --------------------------------------------------
 
     def _direct_sources(
-        self, model: AnalysisModel, qual: str
+        self, model: AnalysisModel, qual: str, body: ast.AST
     ) -> List[Tuple[str, ast.AST]]:
-        symbol = model.project.functions[qual]
-        parents = _parent_map(symbol.node)
+        parents = _parent_map(body)
         sources: List[Tuple[str, ast.AST]] = []
         for name, site in model.graph.external_calls(qual):
-            node = _node_at(symbol.node, site.lineno, site.col)
+            node = _node_at(body, site.lineno, site.col)
             if node is None:  # pragma: no cover - defensive
                 continue
             if name in _SOURCE_CALLS or any(name.startswith(p) for p in _SOURCE_PREFIXES):
                 sources.append((name, node))
             elif name in _FS_ORDER_CALLS and not _sorted_wrapped(node, parents):
                 sources.append((f"{name} (unsorted)", node))
-        sources.extend(
-            ("set-iteration", node) for node in _unordered_iterations(symbol.node)
-        )
+        sources.extend(("set-iteration", node) for node in _unordered_iterations(body))
         sources.sort(key=lambda s: (getattr(s[1], "lineno", 1), getattr(s[1], "col_offset", 0)))
         return sources
 

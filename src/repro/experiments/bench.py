@@ -3,9 +3,8 @@
 The figure sweeps are dominated by the simulation engine's hot loop, so a
 perf regression there silently multiplies every experiment's runtime.  This
 module pins down a small fixed suite of workloads (engine runs at the
-paper's instance sizes, the event-queue and sampler micro-loops, a
-serial-vs-vectorized replicate sweep, and cold-vs-warm roundtrips through an
-in-process ``repro-serve`` instance), times them with
+paper's instance sizes, the event-queue and sampler micro-loops, and a
+serial-vs-vectorized replicate sweep), times them with
 :func:`repro.obs.profile.wall_time` and writes a schema-versioned JSON
 record that can be committed next to the results it contextualizes.  With
 ``--profile`` each workload additionally records per-stage wall time
@@ -261,82 +260,6 @@ def _beta_sweep_workload(
     return run
 
 
-def _store_roundtrip_workload(entries: int) -> WorkloadFn:
-    """Put/get churn through a content-addressed ResultStore on tmpfs-ish disk."""
-
-    def run(seed: int, prof: StageProfiler) -> object:
-        import shutil
-        import tempfile
-
-        from repro.store.cache import ResultStore
-
-        root = tempfile.mkdtemp(prefix="repro-bench-store-")
-        try:
-            store = ResultStore(root)
-            payload = {"summary": {"n": 8, "mean": 1.25, "std": 0.5, "min": 1.0, "max": 2.0}}
-            with prof.stage("put"):
-                for i in range(entries):
-                    store.put({"schema": "bench", "seed": seed, "i": i}, payload, kind="bench")
-            with prof.stage("get"):
-                for i in range(entries):
-                    store.get({"schema": "bench", "seed": seed, "i": i}, kind="bench")
-            return store.counts
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-
-    return run
-
-
-def _serve_roundtrip_workload(cells: int, n: int, reps: int) -> WorkloadFn:
-    """Cold-miss vs warm-hit latency through a real ``repro-serve`` instance.
-
-    Boots an in-process :class:`~repro.serve.client.ServerThread` on an
-    ephemeral port with a throwaway store, POSTs *cells* distinct
-    simulation cells twice over real TCP — the first pass computes
-    (``cold_miss``), the second answers from the store (``warm_hit``) —
-    then drains.  The stage split is the service's headline number: how
-    much a warm cache buys over recomputation.
-    """
-
-    def run(seed: int, prof: StageProfiler) -> object:
-        import shutil
-        import tempfile
-
-        from repro.serve.client import ServeClient, ServerThread
-        from repro.serve.service import ServeConfig
-
-        root = tempfile.mkdtemp(prefix="repro-bench-serve-")
-        try:
-            config = ServeConfig(port=0, store_root=root, quota_burst=0)
-            with prof.stage("boot"):
-                server = ServerThread(config)
-                host, port = server.start()
-            try:
-                client = ServeClient(host, port, client_id="bench")
-                specs = [
-                    {
-                        "strategy": "DynamicOuter",
-                        "n": n,
-                        "reps": reps,
-                        "seed": seed + i,
-                        "platform": {"type": "uniform", "p": 4},
-                    }
-                    for i in range(cells)
-                ]
-                with prof.stage("cold_miss"):
-                    cold = [client.cell(spec) for spec in specs]
-                with prof.stage("warm_hit"):
-                    warm = [client.cell(spec) for spec in specs]
-                assert all(r["status"] == "hit" for r in warm)
-                return cold, warm
-            finally:
-                server.stop()
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-
-    return run
-
-
 #: The lockstep kernel's scaling cells, ``(label, strategy, n)`` at
 #: ``p = 100``, each timed at the replicate counts the figures run
 #: (ci 2, medium 5, paper 10).
@@ -439,9 +362,6 @@ def build_suite(suite: str = "default") -> List[Workload]:
     sweep_n = 20 if quick else 40
     sweep_p = 40 if quick else 100
     sweep_reps = 4 if quick else 8
-    store_entries = 100 if quick else 500
-    serve_cells = 4 if quick else 12
-    serve_n = 12 if quick else 20
     p = 50
     return [
         Workload(
@@ -485,16 +405,6 @@ def build_suite(suite: str = "default") -> List[Workload]:
             {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "vectorize": True,
              **_engine_params(StrategySpec("RandomMatrix", sweep_n), True)},
             _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, vectorize=True),
-        ),
-        Workload(
-            "store_roundtrip",
-            {"entries": store_entries},
-            _store_roundtrip_workload(store_entries),
-        ),
-        Workload(
-            "serve_roundtrip",
-            {"cells": serve_cells, "n": serve_n, "reps": 2},
-            _serve_roundtrip_workload(serve_cells, serve_n, 2),
         ),
     ]
 

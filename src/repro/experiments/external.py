@@ -30,7 +30,7 @@ run figures through this module; there is no master process, the store
 Claim files and journal records stay per cell, so CLI workers and
 ``repro-serve`` instances arbitrate in one namespace.  All timing
 (polling, staleness) lives in :mod:`repro.store.claims`; this module stays
-clock-free per the R-OBS-CLOCK discipline for ``repro.experiments``.
+clock-free, as A-TAINT requires of ``repro.experiments``.
 """
 
 from __future__ import annotations
@@ -209,7 +209,9 @@ def drain_plans(
     computed it, a peer did, or a peer died and this worker stole it.
     *helpers* local processes (at most one per unit with a missing cell)
     drain the same units alongside this one, with their own claim owners;
-    the returned stats count this process's share only.
+    the returned stats count this process's share only.  A helper that
+    dies does not fail the call — its claims go stale and this worker
+    steals them — so its exit code is only reported on stderr.
     """
     if journal is not None:
         for plan in plans:
@@ -246,7 +248,7 @@ def drain_plans(
     finally:
         for proc in procs:
             proc.join()
-    failed = [proc.exitcode for proc in procs if proc.exitcode != 0]
-    if failed:
-        raise RuntimeError(f"drain helper process(es) exited with {failed}")
+    for proc in procs:
+        if proc.exitcode != 0:
+            print(f"drain helper {proc.pid} exited with {proc.exitcode}", file=sys.stderr)
     return stats

@@ -62,10 +62,12 @@ def summarize_results(directory: str) -> str:
 
 
 def _headline(fig: FigureData) -> Optional[str]:
-    """One-sentence takeaway when the figure has a recognizable shape."""
-    labels = set(fig.series)
-    two_phase = next((l for l in labels if l.endswith("2Phases")), None)
-    random_label = next((l for l in labels if l.startswith("Random")), None)
+    """One-sentence takeaway when the figure has a recognizable shape.
+
+    The first ``*2Phases`` and ``Random*`` series in CSV order are compared.
+    """
+    two_phase = next((l for l in fig.series if l.endswith("2Phases")), None)
+    random_label = next((l for l in fig.series if l.startswith("Random")), None)
     if two_phase and random_label:
         tp = fig.series[two_phase]
         rd = fig.series[random_label]
@@ -79,8 +81,6 @@ def _headline(fig: FigureData) -> Optional[str]:
                     f"At the last common point (x = {x:g}): {two_phase} = {tp_v:.3f}, "
                     f"{random_label} = {rd_v:.3f} ({rd_v / tp_v:.2f}x)."
                 )
-    if "Analysis" in labels and two_phase:
-        return None
     return None
 
 

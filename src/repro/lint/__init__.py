@@ -1,18 +1,21 @@
-"""repro.lint — AST-based invariant linter for the scheduler codebase.
+"""repro.lint — AST rule framework and per-file invariant rules.
 
 The paper's claims are statistical: they only reproduce when every
 randomized path is seeded through one :class:`numpy.random.Generator` and
 every simulation is deterministic given ``(config, seed)``.  This package
 turns those conventions — previously enforced by docstring and review — into
-machine-checked rules (see :mod:`repro.lint.rules`), with a CLI
-(``repro-lint`` / ``python -m repro.lint``) and pytest integration
-(``tests/lint/``) that run them over ``src/`` as part of tier 1.
+machine-checked rules: the framework (parsing, ``noqa`` suppression,
+findings, reporters) and the per-file R-* rules of
+:mod:`repro.lint.rules`.  They run as part of the one static checker,
+``repro-analyze check`` (:mod:`repro.analyze`), next to its
+interprocedural A-* checks.
 
 Programmatic use::
 
-    from repro.lint import collect_modules, default_rules, run_lint
+    from repro.analyze import run_analysis
+    from repro.lint import collect_modules
 
-    findings = run_lint(collect_modules(["src/repro"]), default_rules())
+    findings = run_analysis(collect_modules(["src/repro"]), select=["R-RNG"])
     assert not findings
 """
 
@@ -26,7 +29,7 @@ from repro.lint.framework import (
     run_lint,
 )
 from repro.lint.reporters import render_json, render_text
-from repro.lint.rules import ALL_RULES, default_rules, select_rules
+from repro.lint.rules import ALL_RULES
 
 __all__ = [
     "ALL_RULES",
@@ -36,9 +39,7 @@ __all__ = [
     "Rule",
     "Severity",
     "collect_modules",
-    "default_rules",
     "render_json",
     "render_text",
     "run_lint",
-    "select_rules",
 ]

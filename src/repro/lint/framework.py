@@ -1,6 +1,6 @@
 """Core machinery of the :mod:`repro.lint` static-analysis framework.
 
-The linter parses every Python file under the given paths into an
+``repro-analyze check`` parses every Python file under the given paths into an
 :class:`ast.Module`, wraps each in a :class:`ModuleInfo` (which also carries
 the module's dotted name and its ``# repro: noqa`` suppressions), and runs a
 set of :class:`Rule` objects over the collection.  Rules yield structured
@@ -15,8 +15,8 @@ registry (R-REGISTRY).
 Suppression syntax, modelled on flake8's ``noqa`` but namespaced so the two
 tools cannot collide::
 
-    risky_line()  # repro: noqa[R-DET]      suppress one rule on this line
-    risky_line()  # repro: noqa[R-DET,R-RNG]
+    risky_line()  # repro: noqa[A-TAINT]    suppress one rule on this line
+    risky_line()  # repro: noqa[A-TAINT,R-RNG]
     risky_line()  # repro: noqa             suppress every rule on this line
 """
 

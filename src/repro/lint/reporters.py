@@ -6,7 +6,7 @@ The JSON document is versioned so CI consumers can detect schema changes::
       "version": 1,
       "counts": {"error": 2, "warning": 1},
       "findings": [
-        {"rule": "R-DET", "severity": "error", "path": "...",
+        {"rule": "R-RNG", "severity": "error", "path": "...",
          "line": 10, "col": 4, "message": "..."},
         ...
       ]
@@ -31,15 +31,15 @@ def summary_counts(findings: Sequence[Finding]) -> Dict[str, int]:
     return dict(Counter(f.severity for f in findings))
 
 
-def render_text(findings: Sequence[Finding], *, prog: str = "repro-lint") -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     """One line per finding plus a trailing summary line."""
     lines: List[str] = [f.render() for f in findings]
     counts = summary_counts(findings)
     if findings:
         summary = ", ".join(f"{n} {sev}(s)" for sev, n in sorted(counts.items()))
-        lines.append(f"{prog}: {summary}")
+        lines.append(f"repro-analyze: {summary}")
     else:
-        lines.append(f"{prog}: clean")
+        lines.append("repro-analyze: clean")
     return "\n".join(lines)
 
 

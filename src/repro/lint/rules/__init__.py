@@ -1,21 +1,19 @@
-"""The repo-specific rule set, and helpers to select subsets of it.
+"""The repo-specific per-file rule set.
 
 Rule ids are stable identifiers used on the command line
-(``--select``/``--ignore``) and in suppression comments
-(``# repro: noqa[R-DET]``); renaming one is an API break.
+(``repro-analyze check --select``/``--ignore``) and in suppression comments
+(``# repro: noqa[R-RNG]``); renaming one is an API break.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Type
+from typing import List, Type
 
 from repro.lint.framework import Rule
 from repro.lint.rules.all_consistency import AllNamesExist, PublicNamesExported
-from repro.lint.rules.determinism import SimulatedClockOnly
 from repro.lint.rules.docstrings import PublicApiHasDocstring
 from repro.lint.rules.exceptions import NoBareExcept, NoSilentExcept
 from repro.lint.rules.float_equality import NoFloatEquality
-from repro.lint.rules.obs_wallclock import ObsNoWallclock
 from repro.lint.rules.registry_contract import StrategyRegistryComplete
 from repro.lint.rules.rng_discipline import (
     ForbiddenGlobalRng,
@@ -23,14 +21,13 @@ from repro.lint.rules.rng_discipline import (
 )
 from repro.lint.rules.validation_boundary import ConstructorsValidateInputs
 
-__all__ = ["ALL_RULES", "default_rules", "rule_index", "select_rules"]
+__all__ = ["ALL_RULES"]
 
-#: Every rule class, in reporting-priority order.
+#: Every rule class, in reporting-priority order (``R-ALL-MISSING`` is
+#: reported by R-ALL-EXPORT's class).
 ALL_RULES: List[Type[Rule]] = [
     ForbiddenGlobalRng,
     RandomizedFunctionTakesRng,
-    SimulatedClockOnly,
-    ObsNoWallclock,
     NoFloatEquality,
     ConstructorsValidateInputs,
     StrategyRegistryComplete,
@@ -40,39 +37,3 @@ ALL_RULES: List[Type[Rule]] = [
     NoBareExcept,
     NoSilentExcept,
 ]
-
-
-def rule_index() -> Dict[str, Type[Rule]]:
-    """Map rule id to rule class (``R-ALL-MISSING`` shares R-ALL-EXPORT)."""
-    return {cls.id: cls for cls in ALL_RULES}
-
-
-def default_rules() -> List[Rule]:
-    """Fresh instances of the full rule set."""
-    return [cls() for cls in ALL_RULES]
-
-
-def select_rules(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[Rule]:
-    """Instantiate the rule set filtered by id.
-
-    *select* keeps only the named rules; *ignore* drops the named rules.
-    Unknown ids raise ``ValueError`` so typos fail loudly.
-    """
-    index = rule_index()
-    chosen = list(index)
-    if select is not None:
-        wanted = [s.upper() for s in select]
-        unknown = sorted(set(wanted) - set(index))
-        if unknown:
-            raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
-        chosen = [rid for rid in chosen if rid in wanted]
-    if ignore is not None:
-        dropped = [s.upper() for s in ignore]
-        unknown = sorted(set(dropped) - set(index))
-        if unknown:
-            raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
-        chosen = [rid for rid in chosen if rid not in dropped]
-    return [index[rid]() for rid in chosen]

@@ -8,7 +8,6 @@ from typing import Iterator, List, Optional, Tuple, Union
 __all__ = [
     "FunctionNode",
     "attr_chain",
-    "call_name",
     "iter_functions",
     "param_names",
     "public_toplevel_names",
@@ -33,11 +32,6 @@ def attr_chain(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def call_name(node: ast.Call) -> Optional[str]:
-    """Dotted name of a call's callee, or ``None`` for dynamic callees."""
-    return attr_chain(node.func)
 
 
 def iter_functions(

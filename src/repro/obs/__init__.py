@@ -12,7 +12,7 @@ report:
 * :mod:`repro.obs.report` — normalized-communication run reports (the
   ``repro-report`` CLI);
 * :mod:`repro.obs.profile` — wall-clock stage profiling for the bench
-  harness; the single module allowed to read the clock (``R-OBS-CLOCK``).
+  harness; the single module allowed to read the clock (A-TAINT).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ The primitives are *simulated-time only*: nothing in this module reads a
 clock — values arrive from the engines through
 :class:`~repro.obs.sink.MetricsSink` hooks, already stamped with event time.
 Wall-clock accounting lives exclusively in :mod:`repro.obs.profile` (a
-boundary machine-enforced by the ``R-OBS-CLOCK`` lint rule).
+boundary machine-enforced by the A-TAINT check).
 
 All containers merge associatively in a *defined order* (``merge`` applies
 the other container's entries in its own sorted-key order), which is what

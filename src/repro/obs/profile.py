@@ -1,9 +1,11 @@
 """Wall-clock profiling hooks — the one module allowed to read the clock.
 
 Everything else in :mod:`repro.obs` (and the experiment drivers that feed
-it) works in *simulated* time; the ``R-OBS-CLOCK`` lint rule bans direct
-``time.time``/``perf_counter`` calls across ``repro.obs`` and
-``repro.experiments`` so wall-clock reads cannot leak into metrics.  Code
+it) works in *simulated* time; the A-TAINT check roots every function and
+the import-time code of ``repro.obs`` and ``repro.experiments``, their CLIs
+included, and bans ``time.time``/
+``perf_counter`` calls anywhere they reach, this module excepted, so
+wall-clock reads cannot leak into metrics.  Code
 that legitimately measures host time — the bench harness, CLI progress
 lines — imports :func:`wall_time` / :class:`StageProfiler` from here
 instead.

@@ -1,8 +1,8 @@
 """Blocking client for ``repro-serve`` plus an in-process server harness.
 
 :class:`ServeClient` is the supported way to talk to the service from
-Python — tests, the ``serve_roundtrip`` bench workload and the CI smoke
-harness all go through it, so its request shapes double as executable
+Python — tests and the CI smoke harness go through it, so its request
+shapes double as executable
 documentation of the wire protocol.  It is plain :mod:`http.client`
 (stdlib only, one connection per request, matching the server's
 ``Connection: close``); errors surface as :class:`ServeError` carrying the
@@ -10,8 +10,8 @@ HTTP status and decoded body.
 
 :class:`ServerThread` boots a full :class:`~repro.serve.service.SweepService`
 on a private event loop in a daemon thread — an ephemeral port and a real
-TCP socket, no mocking — so a test or bench run can exercise the exact
-code path production traffic takes and still tear down in milliseconds.
+TCP socket, no mocking — so a test can exercise the exact code path
+production traffic takes and still tear down in milliseconds.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Fixture: the profiler module itself is exempt from R-OBS-CLOCK."""
+"""Fixture: the profiler module itself is a sanitized A-TAINT boundary."""
 
 import time
 

@@ -1,4 +1,4 @@
-"""Fixture: wall-clock and OS entropy in the deterministic core (R-DET)."""
+"""Fixture: wall-clock and OS entropy in the deterministic core (A-TAINT)."""
 
 import os
 import time

@@ -5,7 +5,7 @@ import subprocess
 
 from repro.simulator.batch import simulate_batch
 
-__all__ = ["Store"]
+__all__ = ["FileLock", "Store"]
 
 
 class FileLock:

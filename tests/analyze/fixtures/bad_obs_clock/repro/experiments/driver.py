@@ -1,4 +1,4 @@
-"""Fixture: an experiment driver timing work with the wall clock (R-OBS-CLOCK)."""
+"""Fixture: an experiment driver timing work with the wall clock (A-TAINT)."""
 
 import time
 

@@ -1,4 +1,4 @@
-"""Fixture: direct wall-clock reads in the observability layer (R-OBS-CLOCK)."""
+"""Fixture: direct wall-clock reads in the observability layer (A-TAINT)."""
 
 import time
 from time import perf_counter

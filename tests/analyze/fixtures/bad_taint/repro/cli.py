@@ -1,4 +1,4 @@
-"""Fixture: CLI modules are sanitized boundaries — no taint findings here."""
+"""Fixture: a CLI outside the deterministic packages is a sanitized boundary."""
 
 import time
 

@@ -27,6 +27,15 @@ class TestEdges:
         names = [n for n, _ in model.graph.external_calls("repro.simulator.engine._jitter")]
         assert names == ["time.time"]
 
+    def test_import_time_calls_belong_to_the_module_caller(self, fixture_model):
+        # Module-level statements and class bodies, not the class's methods.
+        model = fixture_model("bad_import_time")
+        caller = model.graph.module_caller("repro.simulator.epoch")
+        assert caller == "repro.simulator.epoch:<module>"
+        assert model.graph.module_of(caller) == "repro.simulator.epoch"
+        names = [n for n, _ in model.graph.external_calls(caller)]
+        assert names == ["time.time", "os.getpid", "datetime.datetime.now"]
+
 
 class TestRealTreeDispatch:
     def test_engine_dispatches_to_strategy_overrides(self, src_model):
@@ -63,7 +72,7 @@ class TestReachability:
     def test_skip_modules_prunes_traversal(self, fixture_model):
         model = fixture_model("bad_taint")
         parents = model.graph.reachable(
-            ["repro.simulator.cli.main"], skip_modules=["repro.simulator.engine"]
+            ["repro.cli.main"], skip_modules=["repro.simulator.engine"]
         )
         assert "repro.simulator.engine._jitter" not in parents
 

@@ -41,6 +41,49 @@ class TestDeterminismTaint:
         assert "repro.simulator.engine.simulate" in finding.chain[0]
         assert finding.chain[-1].startswith("time.time at line")
 
+    def test_wall_clock_flagged(self, analyze_fixture):
+        # Wall clock and OS entropy in a repro.simulator function that no
+        # entry point reaches: the function is a root of its own.
+        findings = analyze_fixture("bad_det", select=["A-TAINT"])
+        assert keys(findings) == {
+            "A-TAINT:repro.simulator.clock.stamp:time.time",
+            "A-TAINT:repro.simulator.clock.stamp:datetime.datetime.now",
+            "A-TAINT:repro.simulator.clock.stamp:os.urandom",
+        }
+        assert all(f.chain[0].startswith("repro.simulator.clock.stamp ") for f in findings)
+
+    def test_wall_clock_in_obs_and_experiments_flagged(self, analyze_fixture):
+        # time.time + a from-imported perf_counter in repro.obs, 2x
+        # time.monotonic in repro.experiments.
+        findings = analyze_fixture("bad_obs_clock", select=["A-TAINT"])
+        sources = sorted(f.key.rsplit(":", 1)[1] for f in findings)
+        assert sources == ["time.monotonic", "time.monotonic", "time.perf_counter", "time.time"]
+        assert all(f.severity == "error" for f in findings)
+
+    def test_profiler_module_exempt(self, analyze_fixture):
+        findings = analyze_fixture("bad_obs_clock", select=["A-TAINT"])
+        assert not any(f.path.endswith("profile.py") for f in findings)
+
+    def test_import_time_sources_flagged(self, analyze_fixture):
+        # Module-level statements and class bodies run on import: each
+        # module of the deterministic packages is a root of its own.
+        findings = analyze_fixture("bad_import_time", select=["A-TAINT"])
+        assert keys(findings) == {
+            "A-TAINT:repro.simulator.epoch:<module>:time.time",
+            "A-TAINT:repro.simulator.epoch:<module>:os.getpid",
+            "A-TAINT:repro.simulator.epoch:<module>:datetime.datetime.now",
+        }
+        assert all(f.chain[0].startswith("repro.simulator.epoch:<module> ") for f in findings)
+
+    def test_cli_modules_of_watched_packages_flagged(self, analyze_fixture):
+        # CLI and __main__ modules inside the deterministic packages are
+        # roots; the clock read routed through the profiler stays clean.
+        findings = analyze_fixture("bad_cli_clock", select=["A-TAINT"])
+        assert keys(findings) == {
+            "A-TAINT:repro.experiments.cli.main:time.perf_counter",
+            "A-TAINT:repro.obs.__main__:<module>:time.time",
+        }
+
     def test_real_tree_is_taint_clean(self):
         modules = collect_modules([SRC_REPRO])
         findings = run_analysis(modules, select=["A-TAINT"])

@@ -5,10 +5,13 @@ from pathlib import Path
 
 from repro.analyze.baseline import BASELINE_FORMAT
 from repro.analyze.cli import main
+from repro.lint.reporters import JSON_SCHEMA_VERSION
+from repro.lint.rules import ALL_RULES
 
 from tests.analyze.conftest import FIXTURES
 
 ROOT = Path(__file__).resolve().parents[2]
+LINT_FIXTURES = ROOT / "tests" / "lint" / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -64,8 +67,85 @@ class TestCheck:
     def test_list_checks(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--list-checks")
         assert code == 0
-        for check_id in ("A-TAINT", "A-LOCK", "A-LOCK-HELD", "A-PURE", "A-DRIFT", "A-DEAD"):
-            assert check_id in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [
+            "R-RNG", "R-RNG-PARAM", "R-FLOATEQ", "R-VALIDATE", "R-REGISTRY",
+            "R-ALL-EXISTS", "R-ALL-EXPORT", "R-DOCSTRING", "R-EXCEPT", "R-SILENT",
+            "A-TAINT", "A-LOCK", "A-LOCK-HELD", "A-PURE", "A-DRIFT", "A-DEAD",
+        ]
+
+
+class TestLintRules:
+    """The per-file R-* rules run, select and report through ``check``."""
+
+    def test_rule_findings_exit_one(self, capsys):
+        code, out, _ = run_cli(capsys, "check", str(LINT_FIXTURES / "bad_except"))
+        assert code == 1
+        assert "R-EXCEPT" in out and "R-SILENT" in out
+
+    def test_text_report_lines_are_grep_friendly(self, capsys):
+        _, out, _ = run_cli(capsys, "check", str(LINT_FIXTURES / "bad_except"))
+        lines = out.strip().splitlines()
+        assert any(line.split(":")[1].isdigit() and "R-SILENT" in line for line in lines)
+        assert lines[-1].startswith("repro-analyze:")
+
+    def test_json_rule_findings_carry_no_key(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--format", "json", "--select", "R-SILENT",
+            str(LINT_FIXTURES / "bad_except"),
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["version"] == JSON_SCHEMA_VERSION
+        assert doc["counts"] == {"error": 2}
+        for finding in doc["findings"]:
+            assert set(finding) == {"rule", "severity", "path", "line", "col", "message"}
+
+    def test_json_on_clean_tree(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--format", "json", str(ROOT / "src" / "repro" / "lint")
+        )
+        assert json.loads(out)["findings"] == []
+        assert code == 0
+
+    def test_select_limits_rules(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--select", "R-EXCEPT", str(LINT_FIXTURES / "bad_except")
+        )
+        assert code == 1
+        assert "R-EXCEPT" in out
+        assert "R-SILENT" not in out
+
+    def test_ignore_drops_rules(self, capsys):
+        # A-DEAD and A-DRIFT are ignored too: the fixture's exports have no
+        # caller in its tree and no section in the default docs/API.md.
+        code, _, _ = run_cli(
+            capsys, "check", "--ignore", "R-EXCEPT", "--ignore", "R-SILENT",
+            "--ignore", "A-DEAD", "--ignore", "A-DRIFT", str(LINT_FIXTURES / "bad_except"),
+        )
+        assert code == 0
+
+    def test_unknown_rule_id_exits_two(self, capsys):
+        for rule_id in ("R-NOPE", "R-DET", "R-OBS-CLOCK"):
+            code, _, err = run_cli(
+                capsys, "check", "--select", rule_id, str(LINT_FIXTURES / "bad_except")
+            )
+            assert code == 2
+            assert "unknown check id" in err
+
+    def test_bad_path_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "check", "--select", "R-SILENT", str(LINT_FIXTURES / "no_such_dir")
+        )
+        assert code == 2
+        assert "repro-analyze:" in err
+
+    def test_list_checks_names_every_rule(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--list-checks")
+        assert code == 0
+        listed = {line.split()[0] for line in out.splitlines()}
+        assert {rule.id for rule in ALL_RULES} <= listed
+        assert not {"R-DET", "R-OBS-CLOCK"} & listed
 
 
 class TestBaselineFlow:
@@ -94,6 +174,26 @@ class TestBaselineFlow:
             str(baseline),
         )
         assert code == 0
+        assert "repro-analyze: clean" in out
+
+    def test_rule_findings_are_never_baselined(self, capsys, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        tree = str(LINT_FIXTURES / "bad_except")
+        code, out, _ = run_cli(
+            capsys, "check", tree, "--select", "R-SILENT", "--write-baseline", str(baseline)
+        )
+        assert code == 0
+        assert "wrote 0 key(s)" in out
+        code, out, _ = run_cli(capsys, "check", tree, "--select", "R-SILENT", "--baseline", str(baseline))
+        assert code == 1
+        assert "R-SILENT" in out
+
+    def test_source_tree_clean_against_committed_baseline(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--baseline", str(ROOT / "tools" / "analyze_baseline.json"),
+            "--api-doc", str(ROOT / "docs" / "API.md"), str(ROOT / "src" / "repro"),
+        )
+        assert code == 0, out
         assert "repro-analyze: clean" in out
 
     def test_stale_baseline_entry_fails(self, capsys, tmp_path):

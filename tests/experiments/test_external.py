@@ -2,8 +2,11 @@
 
 import collections
 import multiprocessing
+import os
 import threading
 import time
+
+import pytest
 
 import repro.experiments.external as external_module
 import repro.experiments.runner as runner_module
@@ -124,3 +127,21 @@ class TestDrain:
         assert len(computed) == 8 and set(computed.values()) == {1}
         expected = figure_to_rows(generate("fig04", scale="ci", seed=0))
         assert figure_to_rows(generate("fig04", scale="ci", seed=0, cache=store)) == expected
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_dead_helper_does_not_fail_a_complete_drain(self, tmp_path, monkeypatch, capsys):
+        real_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            external_module.multiprocessing, "get_context", lambda method=None: real_context("fork")
+        )
+        monkeypatch.setattr(external_module, "_helper", lambda *args: os._exit(3))
+        store = ResultStore(str(tmp_path / "cache"))
+        plans = plan_figures(["fig01"], scale="ci", seed=0)
+        stats = drain_plans(
+            plans, store=store, claims=ClaimRegistry(store), helpers=1, timeout=120.0,
+        )
+        assert (stats.computed, stats.cached) == (6, 0)
+        assert all(store.has_fingerprint(fp) for fp in plans[0].fingerprints)
+        assert "exited with 3" in capsys.readouterr().err

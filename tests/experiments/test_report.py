@@ -1,6 +1,9 @@
 """Tests for the results-directory report generator."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,9 @@ def _populate(directory):
     t.add(100, 2.1, 0.05)
     write_csv(fig, os.path.join(directory, "fig99_ci.csv"))
     return fig
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestSummarize:
@@ -66,3 +72,25 @@ class TestSummarize:
             pytest.skip("results/ not present")
         text = summarize_results("results")
         assert "fig04" in text
+
+    def test_headline_independent_of_hash_seed(self, tmp_path):
+        """With several Random* and *2Phases series the headline picks the
+        first of each in CSV order, never in the process's set-hash order."""
+        fig = FigureData("fig98", "t", "p", "ratio")
+        for i, label in enumerate(
+            ["RandomOuter", "RandomMatrix", "DynamicOuter2Phases", "RandomHybrid", "DynamicMatrix2Phases"]
+        ):
+            fig.new_series(label).add(10, 2.0 + i, 0.1)
+        write_csv(fig, os.path.join(str(tmp_path), "fig98_ci.csv"))
+        code = "import sys; from repro.experiments.report import summarize_results; print(summarize_results(sys.argv[1]))"
+        texts = set()
+        for hash_seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path)],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            texts.add(proc.stdout)
+        (text,) = texts
+        assert "DynamicOuter2Phases = 4.000, RandomOuter = 2.000" in text

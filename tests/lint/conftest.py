@@ -1,21 +1,20 @@
-"""Shared helpers for the linter's own test suite."""
+"""Shared helpers for the per-file rules' own test suite."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint import collect_modules, default_rules, run_lint
+from repro.analyze import run_analysis
+from repro.lint import collect_modules
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 @pytest.fixture
 def lint_fixture():
-    """Run the full default rule set over one fixture tree by name."""
+    """Run ``repro-analyze check``'s full check set over one fixture tree by name."""
 
-    def run(name):
-        modules = collect_modules([FIXTURES / name])
-        return run_lint(modules, default_rules())
+    def run(name, *, ignore=None):
+        return run_analysis(collect_modules([FIXTURES / name]), ignore=ignore)
 
     return run

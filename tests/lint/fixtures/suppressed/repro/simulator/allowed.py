@@ -7,7 +7,7 @@ __all__ = ["stamp", "stamp_any"]
 
 def stamp(rng=None):
     """Fixture stub."""
-    return time.time()  # repro: noqa[R-DET]
+    return time.time()  # repro: noqa[A-TAINT]
 
 
 def stamp_any(rng=None):

@@ -1,10 +1,15 @@
-"""Unit tests for the lint framework itself (parsing, noqa, selection)."""
+"""Unit tests for the lint framework itself (parsing, noqa, selection).
+
+Selection goes through ``repro-analyze check``'s one selector,
+:func:`repro.analyze.select_checks`, which covers the R-* rules too.
+"""
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, collect_modules, select_rules
+from repro.analyze import ALL_CHECKS, select_checks
+from repro.lint import ALL_RULES, collect_modules
 from repro.lint.framework import (
     Finding,
     LintError,
@@ -18,8 +23,8 @@ class TestDottedName:
         assert dotted_name(Path("src/repro/utils/rng.py")) == "repro.utils.rng"
 
     def test_fixture_trees_mirror_the_package(self):
-        path = Path("tests/lint/fixtures/bad_det/repro/simulator/clock.py")
-        assert dotted_name(path) == "repro.simulator.clock"
+        path = Path("tests/lint/fixtures/bad_rng/repro/taskpool/uses_global.py")
+        assert dotted_name(path) == "repro.taskpool.uses_global"
 
     def test_init_maps_to_package(self):
         assert dotted_name(Path("src/repro/taskpool/__init__.py")) == "repro.taskpool"
@@ -30,12 +35,12 @@ class TestDottedName:
 
 class TestParseNoqa:
     def test_specific_rule(self):
-        noqa = parse_noqa("x = 1  # repro: noqa[R-DET]\n")
-        assert noqa == {1: frozenset({"R-DET"})}
+        noqa = parse_noqa("x = 1  # repro: noqa[A-TAINT]\n")
+        assert noqa == {1: frozenset({"A-TAINT"})}
 
     def test_multiple_rules_and_spaces(self):
-        noqa = parse_noqa("x = 1  # repro: noqa[R-DET, R-RNG]\n")
-        assert noqa[1] == frozenset({"R-DET", "R-RNG"})
+        noqa = parse_noqa("x = 1  # repro: noqa[A-TAINT, R-RNG]\n")
+        assert noqa[1] == frozenset({"A-TAINT", "R-RNG"})
 
     def test_blanket(self):
         noqa = parse_noqa("y = 2\nx = 1  # repro: noqa\n")
@@ -45,7 +50,7 @@ class TestParseNoqa:
         assert parse_noqa("x = 1  # repro is great\n") == {}
 
     def test_case_insensitive_marker(self):
-        assert parse_noqa("x = 1  # REPRO: NOQA[r-det]\n")[1] == frozenset({"R-DET"})
+        assert parse_noqa("x = 1  # REPRO: NOQA[a-taint]\n")[1] == frozenset({"A-TAINT"})
 
 
 class TestFinding:
@@ -85,16 +90,19 @@ class TestCollectModules:
 
 class TestSelectRules:
     def test_default_is_full_set(self):
-        assert len(select_rules()) == len(ALL_RULES)
+        ids = [check.id for check in select_checks()]
+        assert len(ids) == len(ALL_CHECKS)
+        assert ids[: len(ALL_RULES)] == [cls.id for cls in ALL_RULES]
 
     def test_select_subset(self):
-        rules = select_rules(select=["R-DET"])
-        assert [r.id for r in rules] == ["R-DET"]
+        rules = select_checks(select=["R-RNG"])
+        assert [r.id for r in rules] == ["R-RNG"]
 
     def test_ignore_subset(self):
-        rules = select_rules(ignore=["R-DET"])
-        assert "R-DET" not in [r.id for r in rules]
+        rules = select_checks(ignore=["R-RNG"])
+        assert "R-RNG" not in [r.id for r in rules]
 
     def test_unknown_id_raises(self):
-        with pytest.raises(ValueError, match="unknown rule"):
-            select_rules(select=["R-NOPE"])
+        for rule_id in ("R-NOPE", "R-DET", "R-OBS-CLOCK"):
+            with pytest.raises(ValueError, match="unknown check id"):
+                select_checks(select=[rule_id])

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.lint import Severity, collect_modules, default_rules, run_lint
+from repro.lint import Severity
 from repro.lint.framework import Finding, parse_noqa
 from repro.lint.reporters import (
     JSON_SCHEMA_VERSION,
@@ -10,8 +10,6 @@ from repro.lint.reporters import (
     render_text,
     summary_counts,
 )
-
-from tests.lint.conftest import FIXTURES
 
 
 def sample_findings():
@@ -39,11 +37,9 @@ class TestJsonRoundTrip:
         ]
         assert rebuilt == sample_findings()
 
-    def test_real_findings_round_trip(self):
-        findings = run_lint(
-            collect_modules([FIXTURES / "bad_det"]), default_rules()
-        )
-        assert findings
+    def test_real_findings_round_trip(self, lint_fixture):
+        findings = lint_fixture("bad_rng")
+        assert {f.rule_id for f in findings} >= {"R-RNG", "A-TAINT"}
         doc = json.loads(render_json(findings))
         assert len(doc["findings"]) == len(findings)
         for original, emitted in zip(findings, doc["findings"]):
@@ -59,15 +55,10 @@ class TestJsonRoundTrip:
 class TestRenderText:
     def test_summary_line_counts_by_severity(self):
         text = render_text(sample_findings())
-        assert text.splitlines()[-1] == "repro-lint: 1 error(s), 1 warning(s)"
+        assert text.splitlines()[-1] == "repro-analyze: 1 error(s), 1 warning(s)"
 
     def test_clean_summary(self):
-        assert render_text([]) == "repro-lint: clean"
-
-    def test_prog_label_is_configurable(self):
-        assert render_text([], prog="repro-analyze") == "repro-analyze: clean"
-        text = render_text(sample_findings(), prog="repro-analyze")
-        assert text.splitlines()[-1].startswith("repro-analyze:")
+        assert render_text([]) == "repro-analyze: clean"
 
     def test_summary_counts_only_present_severities(self):
         assert summary_counts([sample_findings()[0]]) == {"error": 1}
@@ -75,14 +66,14 @@ class TestRenderText:
 
 class TestNoqaEdgeCases:
     def test_noqa_with_trailing_comment_text(self):
-        noqa = parse_noqa("x = 1  # repro: noqa[R-DET]  (legacy clock)\n")
-        assert noqa[1] == frozenset({"R-DET"})
+        noqa = parse_noqa("x = 1  # repro: noqa[A-TAINT]  (legacy clock)\n")
+        assert noqa[1] == frozenset({"A-TAINT"})
 
     def test_noqa_inside_string_literal_still_matches_line(self):
         # The scanner is line-based by design: a noqa marker anywhere on the
         # line (even inside a string) suppresses that line.
-        noqa = parse_noqa('x = "# repro: noqa[R-DET]"\n')
-        assert noqa[1] == frozenset({"R-DET"})
+        noqa = parse_noqa('x = "# repro: noqa[A-TAINT]"\n')
+        assert noqa[1] == frozenset({"A-TAINT"})
 
     def test_empty_rule_list_is_blanket(self):
         noqa = parse_noqa("x = 1  # repro: noqa[]\n")
@@ -101,10 +92,8 @@ class TestNoqaEdgeCases:
         }
 
     def test_unrelated_rule_id_does_not_suppress(self, lint_fixture):
-        # The suppressed fixture uses targeted noqa markers; they must not
-        # blanket-suppress other rules on the same tree.
+        # The suppressed fixture uses targeted noqa markers on its A-TAINT
+        # lines; they must not blanket-suppress other rules on the same
+        # tree, so the A-DEAD findings on its unmarked def lines survive.
         findings = lint_fixture("suppressed")
-        suppressed_path_findings = [
-            f for f in findings if f.path.endswith("allowed.py")
-        ]
-        assert suppressed_path_findings == []
+        assert {f.rule_id for f in findings if f.path.endswith("allowed.py")} == {"A-DEAD"}

@@ -22,7 +22,6 @@ SCRIPTS = {
     "repro-analyze": ("repro.analyze.cli", "main"),
     "repro-bench": ("repro.experiments.bench", "main"),
     "repro-experiments": ("repro.experiments.cli", "main"),
-    "repro-lint": ("repro.lint.cli", "main"),
     "repro-report": ("repro.obs.cli", "main"),
     "repro-serve": ("repro.serve.cli", "main"),
     "repro-store": ("repro.store.cli", "main"),

@@ -70,8 +70,8 @@ def main(argv=None) -> None:
         "_Generated by `tools/gen_api_docs.py` — do not edit by hand._",
         "",
         "Coding invariants (RNG discipline, determinism, validation at the",
-        "boundary) are machine-enforced by `repro-lint`; see",
-        "[LINTING.md](LINTING.md) for the rule catalogue.",
+        "boundary) are machine-enforced by `repro-analyze check`; see",
+        "[ANALYSIS.md](ANALYSIS.md) for the check catalogue.",
         "",
     ]
     seen = set()

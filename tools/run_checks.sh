@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# One-shot local gate: tier-1 tests, the invariant linter, the whole-program
-# analyzer, the docs gate (links, dotted paths and API-reference
-# freshness), the repro-serve smoke, the cross-process claims smoke, and
-# (when installed) the strict typing gate — the same jobs CI runs.
+# One-shot local gate: tier-1 tests, the static checker (per-file rules and
+# whole-program checks), the docs gate (links, dotted paths and
+# API-reference freshness), the repro-serve smoke, the cross-process claims
+# smoke, and (when installed) the strict typing gate — the same jobs CI runs.
 #
 #   ./tools/run_checks.sh
 #
@@ -29,7 +29,6 @@ run() {
 }
 
 run python -m pytest -x -q
-run python -m repro.lint src/repro
 run python -m repro.analyze check --baseline tools/analyze_baseline.json src/repro
 run python tools/check_docs.py
 
