@@ -17,7 +17,12 @@ interpretation:
   resolve correctly;
 * subscripts into module-level registries of classes (``STRATEGIES[name]``)
   resolve to *every* registered class, so ``make_strategy`` edges into each
-  strategy constructor.
+  strategy constructor;
+* a ``with`` (``async with``) item whose value resolves to a project
+  instance — a constructor call such as ``FileLock(path)``, or a call with
+  an annotated return type such as ``ResultStore.lock() -> FileLock`` —
+  edges into that class's ``__enter__`` and ``__exit__`` (``__aenter__``
+  and ``__aexit__``).
 
 Import-time code — top-level statements, and the decorators, bases and
 non-method body of each top-level class — is recorded under one synthetic
@@ -273,12 +278,23 @@ class CallGraph:
             self._analyze_module_level(self.project.modules[mod])
 
     def _attr_type_prepass(self) -> None:
-        """Record ``self.<attr> = ProjectClass(...)`` instance-attribute types."""
+        """Record instance-attribute types of ``self.<attr> = ...`` assignments.
+
+        The value is a project-class constructor call (``ProjectClass(...)``)
+        or a parameter annotated with a project class (``self._store =
+        store`` with ``store: ResultStore``).
+        """
         for symbol in self.project.iter_functions():
             if symbol.cls is None:
                 continue
             cls = self.project.classes[symbol.cls]
             mod = self.project.modules[symbol.module]
+            args = symbol.node.args
+            params = {
+                arg.arg: arg.annotation
+                for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                if arg.annotation is not None
+            }
             for node in ast.walk(symbol.node):
                 target: Optional[ast.expr] = None
                 value: Optional[ast.expr] = None
@@ -303,13 +319,17 @@ class CallGraph:
                     or not isinstance(target, ast.Attribute)
                     or not isinstance(target.value, ast.Name)
                     or target.value.id != "self"
-                    or not isinstance(value, ast.Call)
                 ):
                     continue
-                callee = Project._annotation_name(value.func)
-                if callee is None:
+                if isinstance(value, ast.Call):
+                    named = Project._annotation_name(value.func)
+                elif isinstance(value, ast.Name) and value.id in params:
+                    named = Project._annotation_name(params[value.id])
+                else:
                     continue
-                resolved = self.project.resolve_name(mod, callee)
+                if named is None:
+                    continue
+                resolved = self.project.resolve_name(mod, named)
                 if resolved is not None and resolved in self.project.classes:
                     cls.attr_types.setdefault(target.attr, resolved)
 
@@ -318,9 +338,11 @@ class CallGraph:
         qual = self.module_caller(mod.name)
         facts = _FunctionFacts()
         env: Dict[str, _Ref] = {}
-        for call in ast.walk(self.module_level(mod.name)):
-            if isinstance(call, ast.Call):
-                self._resolve_call_site(qual, mod, None, env, call, facts)
+        for node in ast.walk(self.module_level(mod.name)):
+            if isinstance(node, ast.Call):
+                self._resolve_call_site(qual, mod, None, env, node, facts)
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                self._resolve_with_items(qual, mod, None, env, node, facts)
         if facts.sites:
             self._facts[qual] = facts
 
@@ -333,6 +355,8 @@ class CallGraph:
             if isinstance(node, ast.Call):
                 call_funcs.add(id(node.func))
                 self._resolve_call_site(symbol.qualname, mod, symbol, env, node, facts)
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                self._resolve_with_items(symbol.qualname, mod, symbol, env, node, facts)
         # Bare references to project methods/functions (properties, hoisted
         # bound methods, callbacks) count as edges too — a reference that is
         # never invoked is rarer than a callback we would otherwise miss.
@@ -568,6 +592,40 @@ class CallGraph:
         if targets or external is not None:
             facts.sites.append(site)
             facts.by_node[id(node)] = site
+
+    def _resolve_with_items(
+        self,
+        caller: str,
+        mod: ModuleSymbols,
+        symbol: Optional[FunctionSymbol],
+        env: Dict[str, _Ref],
+        node: Union[ast.With, ast.AsyncWith],
+        facts: _FunctionFacts,
+    ) -> None:
+        """Edges from a ``with`` statement into its context managers' hooks.
+
+        The sites are keyed by line only, not by node: ``by_node`` keeps
+        mapping the item's own ``ast.Call`` to the call it makes.
+        """
+        hooks = ("__aenter__", "__aexit__") if isinstance(node, ast.AsyncWith) else ("__enter__", "__exit__")
+        for item in node.items:
+            ref = self._resolve_value(item.context_expr, mod, symbol, env)
+            if not isinstance(ref, _InstanceRef):
+                continue
+            targets: Set[str] = set()
+            for hook in hooks:
+                method = self.project.lookup_method(ref.qualname, hook)
+                if method is not None:
+                    targets.update(self._expand_virtual(_FuncRef(method, virtual=True)))
+            if targets:
+                facts.sites.append(
+                    CallSite(
+                        caller=caller,
+                        lineno=getattr(item.context_expr, "lineno", node.lineno),
+                        col=getattr(item.context_expr, "col_offset", 0),
+                        targets=tuple(sorted(targets)),
+                    )
+                )
 
 
 def build_call_graph(project: Project) -> CallGraph:

@@ -36,6 +36,7 @@ from repro.lint.reporters import render_json, render_text
 
 __all__ = ["build_parser", "main"]
 
+_DEFAULT_TREE = "src/repro"
 _DEFAULT_API_DOC = "docs/API.md"
 
 
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=f"API reference for the drift check (default: {_DEFAULT_API_DOC} "
-        "when it exists)",
+        f"when it exists and every path lies inside {_DEFAULT_TREE})",
     )
     check.add_argument(
         "--list-checks",
@@ -128,8 +129,8 @@ def _add_tree_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src/repro"],
-        help="files or directories to analyze (default: src/repro)",
+        default=[_DEFAULT_TREE],
+        help=f"files or directories to analyze (default: {_DEFAULT_TREE})",
     )
 
 
@@ -144,11 +145,21 @@ def _collect(paths: Sequence[str]) -> List[ModuleInfo]:
     return collect_modules([Path(p) for p in paths])
 
 
-def _resolve_api_doc(flag: Optional[str]) -> Optional[str]:
+def _resolve_api_doc(flag: Optional[str], paths: Sequence[str]) -> Optional[str]:
+    """The ``--api-doc`` value, else docs/API.md for a check of the package.
+
+    docs/API.md documents ``src/repro`` only, so the default applies only
+    when every checked path lies inside that tree; any other tree (a
+    fixture, a copy) would report its exports as missing from it.
+    """
     if flag is not None:
         return flag
+    tree = Path(_DEFAULT_TREE).resolve()
     default = Path(_DEFAULT_API_DOC)
-    return str(default) if default.exists() else None
+    inside = all(
+        path == tree or tree in path.parents for path in (Path(p).resolve() for p in paths)
+    )
+    return str(default) if inside and default.exists() else None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -161,7 +172,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             modules,
             select=args.select,
             ignore=args.ignore,
-            api_doc=_resolve_api_doc(args.api_doc),
+            api_doc=_resolve_api_doc(args.api_doc, args.paths),
         )
     except (LintError, ValueError) as exc:
         print(f"repro-analyze: {exc}", file=sys.stderr)
@@ -224,7 +235,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     try:
         modules = _collect(args.paths)
-        findings = run_analysis(modules, api_doc=_resolve_api_doc(args.api_doc))
+        findings = run_analysis(modules, api_doc=_resolve_api_doc(args.api_doc, args.paths))
     except LintError as exc:
         print(f"repro-analyze: {exc}", file=sys.stderr)
         return 2

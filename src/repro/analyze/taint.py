@@ -32,10 +32,13 @@ sanctioned entropy boundary — fresh entropy only ever enters through an
 explicit ``seed=None``), :mod:`repro.store.claims` (claim heartbeats,
 staleness and drain polling read wall time by design, through an
 injectable clock; what a claim guards comes from the deterministic engine
-through the store), the :mod:`repro.serve` service layer (request
-latencies and quota refill are wall-clock by nature; simulation results it
-returns come from the deterministic engine through the store), and CLI
-entry-point modules outside :data:`DETERMINISTIC_PACKAGES`.
+through the store), :mod:`repro.store.lock` (the store lock's acquire
+deadline and its stale-lock test read wall time by design; the lock
+orders writers and never feeds a result), the :mod:`repro.serve` service
+layer (request latencies and quota refill are wall-clock by nature;
+simulation results it returns come from the deterministic engine through
+the store), and CLI entry-point modules outside
+:data:`DETERMINISTIC_PACKAGES`.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
     "repro.faults",
     "repro.obs",
     "repro.experiments",
+)
+
+#: Sanitized boundaries by exact module name (see the module docstring).
+_SANITIZED_MODULES = frozenset(
+    {"repro.obs.profile", "repro.utils.rng", "repro.store.claims", "repro.store.lock"}
 )
 
 #: Exact external names that read a clock, an entropy pool or the process id.
@@ -155,7 +163,7 @@ def sanitized_modules(model: AnalysisModel) -> List[str]:
     out = []
     for name in sorted(model.project.modules):
         if (
-            name in ("repro.obs.profile", "repro.utils.rng", "repro.store.claims")
+            name in _SANITIZED_MODULES
             or name == "repro.serve"
             or name.startswith("repro.serve.")
             or (name.endswith((".cli", ".__main__")) and not _deterministic(name))
@@ -175,7 +183,7 @@ class DeterminismTaint(AnalyzeCheck):
         "simulate_batch()/simulate_sweep(), the fingerprint/exporter paths "
         f"or any function or import-time code of {', '.join(DETERMINISTIC_PACKAGES)} "
         "(sanitized: repro.obs.profile, repro.utils.rng, repro.store.claims, "
-        "repro.serve, other packages' CLI modules)"
+        "repro.store.lock, repro.serve, other packages' CLI modules)"
     )
 
     def analyze(self, model: AnalysisModel) -> Iterator[AnalysisFinding]:

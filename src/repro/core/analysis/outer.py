@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.typing as npt
-from scipy import optimize
 
+from repro.core.analysis._brent import _polish_grid_minimum
 from repro.core.analysis.lower_bounds import _check_rel, outer_lower_bound
 from repro.core.analysis.ode import switch_fraction
 from repro.utils.validation import check_positive_int
@@ -148,13 +148,6 @@ def optimal_outer_beta(
     if hi <= lo:
         return hi
 
-    objective = lambda b: outer_total_ratio(b, rel, n, variant)  # noqa: E731
     grid = np.linspace(lo, hi, 200)
     values = _total_ratio_grid(grid, rel, n, variant)
-    best = int(np.argmin(values))
-    left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, grid.size - 1)]
-    if left == right:  # pragma: no cover - degenerate single-point range
-        return float(grid[best])
-    result = optimize.minimize_scalar(objective, bounds=(left, right), method="bounded")
-    return float(result.x)
+    return _polish_grid_minimum(lambda b: outer_total_ratio(b, rel, n, variant), grid, values)

@@ -38,7 +38,7 @@ import platform as platform_module
 import statistics
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -423,10 +423,40 @@ def _machine_info() -> Dict[str, Any]:
     }
 
 
+def _quartiles(times: List[float]) -> Tuple[float, float]:
+    """First and third quartile (numpy's default linear interpolation)."""
+    if len(times) < 2:
+        return times[0], times[0]
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, q3
+
+
+def _speedup(entries: Dict[str, Any], name: str, serial_name: str, vec_name: str) -> Dict[str, float]:
+    """``{name: serial / vectorized median}``, plus its quartile range.
+
+    ``name_low`` is serial q1 over vectorized q3 and ``name_high`` serial q3
+    over vectorized q1: two records whose ranges do not overlap show a
+    ratio that moved.  Entries recorded before quartiles were kept get no
+    range; a missing entry or a zero median gives ``{}``.
+    """
+    if serial_name not in entries or vec_name not in entries:
+        return {}
+    s, v = entries[serial_name]["seconds"], entries[vec_name]["seconds"]
+    if float(v["median"]) <= 0:
+        return {}
+    out = {name: float(s["median"]) / float(v["median"])}
+    if "q1" in s and "q1" in v and float(v["q1"]) > 0:
+        out[f"{name}_low"] = float(s["q1"]) / float(v["q3"])
+        out[f"{name}_high"] = float(s["q3"]) / float(v["q1"])
+    return out
+
+
 def _derive_metrics(entries: Dict[str, Any]) -> Dict[str, Any]:
     """Cross-workload metrics for a record's ``derived`` block.
 
-    Pure function of the timed entries (exposed for tests):
+    Pure function of the timed entries (exposed for tests).  Every speed-up
+    below comes with ``_low``/``_high`` bounds from the quartiles when the
+    entries carry them (see :func:`_speedup`):
 
     * ``replicate_sweep_vectorized_speedup`` — serial over batch-engine
       median, the headline number of the vectorized engine;
@@ -440,53 +470,36 @@ def _derive_metrics(entries: Dict[str, Any]) -> Dict[str, Any]:
       vectorized.
     """
 
-    def median_of(name: str) -> Optional[float]:
-        entry = entries.get(name)
-        return None if entry is None else float(entry["seconds"]["median"])
+    def row(serial_name: str, vec_name: str) -> Dict[str, Any]:
+        return {
+            "serial_s": float(entries[serial_name]["seconds"]["median"]),
+            "vectorized_s": float(entries[vec_name]["seconds"]["median"]),
+            "vectorized_speedup": None,
+            **_speedup(entries, "vectorized_speedup", serial_name, vec_name),
+        }
 
-    derived: Dict[str, Any] = {}
-    serial = median_of("replicate_sweep_serial")
-    vec = median_of("replicate_sweep_vectorized")
-    if serial is not None and vec is not None and vec > 0:
-        derived["replicate_sweep_vectorized_speedup"] = serial / vec
+    derived: Dict[str, Any] = _speedup(
+        entries, "replicate_sweep_vectorized_speedup", "replicate_sweep_serial", "replicate_sweep_vectorized"
+    )
     curve: List[Dict[str, Any]] = []
     for reps in (1, 4, 16, 64):
-        s = median_of(f"scaling_reps{reps:02d}_serial")
-        v = median_of(f"scaling_reps{reps:02d}_vectorized")
-        if s is None or v is None:
-            continue
-        curve.append(
-            {
-                "reps": reps,
-                "serial_s": s,
-                "vectorized_s": v,
-                "vectorized_speedup": s / v if v > 0 else None,
-            }
-        )
+        s, v = f"scaling_reps{reps:02d}_serial", f"scaling_reps{reps:02d}_vectorized"
+        if s in entries and v in entries:
+            curve.append({"reps": reps, **row(s, v)})
     if curve:
         derived["scaling_curve"] = curve
     lockstep: List[Dict[str, Any]] = []
     for label, strategy_name, _ in _LOCKSTEP_CELLS:
         for reps in _LOCKSTEP_REPS:
-            s = median_of(f"lockstep_{label}_reps{reps:02d}_serial")
-            v = median_of(f"lockstep_{label}_reps{reps:02d}_vectorized")
-            if s is None or v is None:
-                continue
-            lockstep.append(
-                {
-                    "strategy": strategy_name,
-                    "reps": reps,
-                    "serial_s": s,
-                    "vectorized_s": v,
-                    "vectorized_speedup": s / v if v > 0 else None,
-                }
-            )
+            s = f"lockstep_{label}_reps{reps:02d}_serial"
+            v = f"lockstep_{label}_reps{reps:02d}_vectorized"
+            if s in entries and v in entries:
+                lockstep.append({"strategy": strategy_name, "reps": reps, **row(s, v)})
     if lockstep:
         derived["lockstep_curve"] = lockstep
-    tp_serial = median_of("twophase_beta_sweep_serial")
-    tp_vec = median_of("twophase_beta_sweep_vectorized")
-    if tp_serial is not None and tp_vec is not None and tp_vec > 0:
-        derived["twophase_beta_sweep_speedup"] = tp_serial / tp_vec
+    derived.update(
+        _speedup(entries, "twophase_beta_sweep_speedup", "twophase_beta_sweep_serial", "twophase_beta_sweep_vectorized")
+    )
     return derived
 
 
@@ -502,7 +515,8 @@ def run_suite(
 
     Each workload runs ``repeats`` times on the same seed (the work is
     deterministic per seed, so spread across repeats is timing noise); the
-    record keeps the median, min and mean.  ``echo`` receives a progress
+    record keeps the median, its quartiles ``q1``/``q3``, the min and the
+    mean.  ``echo`` receives a progress
     line per workload when given.
 
     With ``profile=True`` every workload additionally runs with an enabled
@@ -520,11 +534,14 @@ def run_suite(
             start = wall_time()
             wl.fn(seed, prof)
             times.append(wall_time() - start)
+        q1, q3 = _quartiles(times)
         entry: Dict[str, Any] = {
             "params": dict(wl.params),
             "repeats": repeats,
             "seconds": {
                 "median": statistics.median(times),
+                "q1": q1,
+                "q3": q3,
                 "min": min(times),
                 "mean": statistics.fmean(times),
             },
@@ -596,6 +613,36 @@ def compare_results(
         if name not in new_wl:
             rows.append({"name": name, "status": "removed"})
     return rows
+
+
+#: Derived speed-ups ``compare`` prints for both records: (label, key).
+_SPEEDUP_LINES = (
+    ("vectorized-vs-serial speedup", "replicate_sweep_vectorized_speedup"),
+    ("two-phase beta-sweep speedup", "twophase_beta_sweep_speedup"),
+)
+
+
+def _speedup_line(old: Dict[str, Any], new: Dict[str, Any], key: str) -> Optional[str]:
+    """``old X [lo–hi], new Y [lo–hi]`` for one derived speed-up, or ``None``.
+
+    When both records carry the quartile range, the line ends with
+    ``moved`` if the ranges are disjoint and ``within spread`` otherwise.
+    """
+    if key not in old and key not in new:
+        return None
+
+    def fmt(derived: Dict[str, Any]) -> str:
+        if key not in derived:
+            return "-"
+        if f"{key}_low" not in derived:
+            return f"{derived[key]:.2f}x"
+        return f"{derived[key]:.2f}x [{derived[f'{key}_low']:.2f}–{derived[f'{key}_high']:.2f}x]"
+
+    line = f"old {fmt(old)}, new {fmt(new)}"
+    if f"{key}_low" in old and f"{key}_low" in new:
+        disjoint = new[f"{key}_low"] > old[f"{key}_high"] or new[f"{key}_high"] < old[f"{key}_low"]
+        line += " (moved)" if disjoint else " (within spread)"
+    return line
 
 
 def _render_rows(rows: List[Dict[str, Any]]) -> str:
@@ -706,14 +753,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               file=sys.stderr)
     rows = compare_results(old, new, threshold=args.threshold)
     print(_render_rows(rows))
-    old_vec = old.get("derived", {}).get("replicate_sweep_vectorized_speedup")
-    new_vec = new.get("derived", {}).get("replicate_sweep_vectorized_speedup")
-    if old_vec is not None or new_vec is not None:
-
-        def fmt(value: Optional[float]) -> str:
-            return "-" if value is None else f"{value:.2f}x"
-
-        print(f"vectorized-vs-serial speedup: old {fmt(old_vec)}, new {fmt(new_vec)}")
+    for label, key in _SPEEDUP_LINES:
+        line = _speedup_line(old.get("derived", {}), new.get("derived", {}), key)
+        if line is not None:
+            print(f"{label}: {line}")
     regressions = [r for r in rows if r["status"] == "regression"]
     if regressions:
         names = ", ".join(r["name"] for r in regressions)

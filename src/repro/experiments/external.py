@@ -221,8 +221,9 @@ def drain_plans(
     cold = sum(1 for unit in units if not all(store.has_fingerprint(fp) for fp in unit.cells))
     # Fork where the platform offers it and no other Python thread runs
     # here: a forked helper starts at once, while a spawned one first
-    # re-imports numpy and scipy (about 1 s on a 2-vCPU guest, more than a
-    # short run gains).  numpy's OpenBLAS pool shuts itself down around fork.
+    # starts an interpreter and imports numpy and the package (about 0.3 s
+    # on a 2-vCPU guest, more than a short run gains).  numpy's OpenBLAS
+    # pool shuts itself down around fork.
     context: "Union[multiprocessing.context.ForkContext, multiprocessing.context.SpawnContext]"
     if threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.extensions.cholesky.dag import TaskType
 from repro.extensions.cholesky.scheduler import CholeskyResult, simulate_cholesky
@@ -49,6 +48,11 @@ def replay_cholesky(
 ) -> CholeskyReplay:
     """Factorize *a* (SPD, size divisible into ``n`` tiles) via a simulated
     schedule and verify the result numerically."""
+    # Imported here, not at module level: the LU and Cholesky replays are
+    # the package's only scipy users, and a module-level import would load
+    # scipy in every process that imports the package.
+    from scipy import linalg as sla
+
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")

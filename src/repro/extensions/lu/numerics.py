@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Any, Tuple
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro.extensions.lu.dag import LuDag, LuTaskType
 from repro.extensions.lu.scheduler import LuResult, simulate_lu
@@ -47,6 +46,11 @@ def replay_lu(
     rng: SeedLike = None,
 ) -> LuReplay:
     """Factorize *a* via a simulated tiled-LU schedule and verify it."""
+    # Imported here, not at module level: the LU and Cholesky replays are
+    # the package's only scipy users, and a module-level import would load
+    # scipy in every process that imports the package.
+    from scipy import linalg as sla
+
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")

@@ -36,6 +36,21 @@ class TestEdges:
         names = [n for n, _ in model.graph.external_calls(caller)]
         assert names == ["time.time", "os.getpid", "datetime.datetime.now"]
 
+    def test_with_items_edge_into_enter_and_exit(self, fixture_model):
+        model = fixture_model("bad_enter_clock")
+        sync = {t for t, _ in model.graph.edges["repro.simulator.engine.simulate"]}
+        assert {
+            "repro.store.timer.Stopwatch.__enter__",
+            "repro.store.timer.Stopwatch.__exit__",
+            "repro.store.timer.stopwatch",
+        } <= sync
+        asynchronous = {t for t, _ in model.graph.edges["repro.simulator.engine.simulate_async"]}
+        assert asynchronous == {
+            "repro.store.timer.Deadline.__aenter__",
+            "repro.store.timer.Deadline.__aexit__",
+        }
+        assert "repro.store.timer.Unused.__enter__" not in model.graph.callers
+
 
 class TestRealTreeDispatch:
     def test_engine_dispatches_to_strategy_overrides(self, src_model):
@@ -52,6 +67,16 @@ class TestRealTreeDispatch:
             t for t, _ in src_model.graph.edges.get("repro.store.cache.ResultStore.put", [])
         }
         assert "repro.store.cache.ResultStore.lock" in targets
+        assert "repro.store.lock.FileLock.__enter__" in targets
+
+    def test_every_store_writer_enters_the_lock(self, src_model):
+        """``with self._store.lock():`` resolves through the annotated parameter."""
+        callers = {c for c, _ in src_model.graph.callers["repro.store.lock.FileLock.__enter__"]}
+        assert {
+            "repro.store.cache.ResultStore.put",
+            "repro.store.claims.ClaimRegistry.release",
+            "repro.store.journal.Journal.append_many",
+        } <= callers
 
     def test_graph_scale(self, src_model):
         assert len(src_model.project.modules) > 100

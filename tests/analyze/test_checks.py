@@ -84,6 +84,19 @@ class TestDeterminismTaint:
             "A-TAINT:repro.obs.__main__:<module>:time.time",
         }
 
+    def test_clock_read_in_enter_reached_through_with(self, analyze_fixture):
+        # The managers live outside the deterministic packages: only the
+        # ``with`` edges from the core into their hooks make them reachable.
+        findings = analyze_fixture("bad_enter_clock", select=["A-TAINT"])
+        assert keys(findings) == {
+            "A-TAINT:repro.store.timer.Stopwatch.__enter__:time.perf_counter",
+            "A-TAINT:repro.store.timer.Stopwatch.__exit__:time.perf_counter",
+            "A-TAINT:repro.store.timer.Deadline.__aenter__:time.monotonic",
+        }
+        chains = {f.key: f.chain for f in findings}
+        enter = chains["A-TAINT:repro.store.timer.Stopwatch.__enter__:time.perf_counter"]
+        assert enter[0].startswith("repro.simulator.engine.simulate ")
+
     def test_real_tree_is_taint_clean(self):
         modules = collect_modules([SRC_REPRO])
         findings = run_analysis(modules, select=["A-TAINT"])

@@ -1,6 +1,7 @@
 """The ``repro-analyze`` CLI: subcommands, exit codes, formats."""
 
 import json
+import shutil
 from pathlib import Path
 
 from repro.analyze.baseline import BASELINE_FORMAT
@@ -117,13 +118,31 @@ class TestLintRules:
         assert "R-SILENT" not in out
 
     def test_ignore_drops_rules(self, capsys):
-        # A-DEAD and A-DRIFT are ignored too: the fixture's exports have no
-        # caller in its tree and no section in the default docs/API.md.
+        # A-DEAD is ignored too: the fixture's exports have no caller in its
+        # tree.  A-DRIFT stays on; outside src/repro it reads no API doc.
         code, _, _ = run_cli(
             capsys, "check", "--ignore", "R-EXCEPT", "--ignore", "R-SILENT",
-            "--ignore", "A-DEAD", "--ignore", "A-DRIFT", str(LINT_FIXTURES / "bad_except"),
+            "--ignore", "A-DEAD", str(LINT_FIXTURES / "bad_except"),
         )
         assert code == 0
+
+    def test_default_api_doc_only_for_the_package_tree(self, capsys, tmp_path, monkeypatch):
+        """``check src/repro`` reads ./docs/API.md; other trees do not."""
+        for tree in ("src/repro", "copy/repro"):
+            shutil.copytree(FIXTURES / "bad_drift" / "repro", tmp_path / tree)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "API.md").write_text(
+            "# API reference\n\n## `repro.utils.widgets`\n\n### `def build(spec)`\n",
+            encoding="utf-8",
+        )
+        monkeypatch.chdir(tmp_path)
+        for paths in (["src/repro"], ["src/repro/utils"], [str(tmp_path / "src" / "repro")], []):
+            code, out, _ = run_cli(capsys, "check", "--select", "A-DRIFT", *paths)
+            assert code == 1, paths
+            assert "repro.utils.widgets.orphan" in out and "docs/API.md" in out
+        for paths in (["copy/repro"], ["src/repro", "copy/repro"]):
+            code, out, _ = run_cli(capsys, "check", "--select", "A-DRIFT", *paths)
+            assert code == 0, (paths, out)
 
     def test_unknown_rule_id_exits_two(self, capsys):
         for rule_id in ("R-NOPE", "R-DET", "R-OBS-CLOCK"):

@@ -1,18 +1,24 @@
 """The repro-bench harness: suite shape, records, comparison, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.bench import (
     SCHEMA,
     SUITES,
+    _derive_metrics,
+    _load_record,
+    _quartiles,
     build_suite,
     compare_results,
     main,
     run_suite,
 )
 from repro.obs.profile import StageProfiler
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _tiny_record(**medians):
@@ -32,6 +38,27 @@ def _tiny_record(**medians):
             for name, med in medians.items()
         },
     }
+
+
+def _timed(median, q1, q3):
+    """A workload entry with the given median and quartiles."""
+    return {
+        "params": {},
+        "repeats": 5,
+        "seconds": {"median": median, "q1": q1, "q3": q3, "min": q1, "mean": median},
+    }
+
+
+def _ranged_record(serial, vectorized):
+    """A record whose two-phase sweep entries are ``(median, q1, q3)`` triples."""
+    entries = {
+        "twophase_beta_sweep_serial": _timed(*serial),
+        "twophase_beta_sweep_vectorized": _timed(*vectorized),
+    }
+    record = _tiny_record()
+    record["workloads"] = entries
+    record["derived"] = _derive_metrics(entries)
+    return record
 
 
 class TestSuite:
@@ -65,7 +92,7 @@ class TestRunSuite:
         assert set(record["machine"]) == {"platform", "python", "numpy", "cpu_count"}
         for entry in record["workloads"].values():
             seconds = entry["seconds"]
-            assert 0 < seconds["min"] <= seconds["median"]
+            assert 0 < seconds["min"] <= seconds["q1"] <= seconds["median"] <= seconds["q3"]
         assert "replicate_sweep_vectorized_speedup" in record["derived"]
         assert not any("parallel" in name for name in record["workloads"])
 
@@ -87,6 +114,73 @@ class TestRunSuite:
         record = run_suite("quick", seed=0, repeats=1)
         assert record["profile"] is False
         assert all("profile" not in e for e in record["workloads"].values())
+
+
+class TestDerivedRanges:
+    def test_quartiles_interpolate_like_numpy(self):
+        assert _quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 3.25)
+        assert _quartiles([2.0]) == (2.0, 2.0)
+
+    def test_speedup_range_from_quartiles(self):
+        derived = _derive_metrics(
+            {
+                "replicate_sweep_serial": _timed(2.0, 1.5, 3.0),
+                "replicate_sweep_vectorized": _timed(1.0, 0.5, 1.5),
+            }
+        )
+        assert derived == {
+            "replicate_sweep_vectorized_speedup": 2.0,
+            "replicate_sweep_vectorized_speedup_low": 1.0,  # serial q1 / vectorized q3
+            "replicate_sweep_vectorized_speedup_high": 6.0,  # serial q3 / vectorized q1
+        }
+
+    def test_curve_rows_carry_ranges(self):
+        derived = _derive_metrics(
+            {
+                "scaling_reps04_serial": _timed(4.0, 3.0, 5.0),
+                "scaling_reps04_vectorized": _timed(1.0, 0.5, 2.0),
+            }
+        )
+        assert derived["scaling_curve"] == [
+            {
+                "reps": 4,
+                "serial_s": 4.0,
+                "vectorized_s": 1.0,
+                "vectorized_speedup": 4.0,
+                "vectorized_speedup_low": 1.5,
+                "vectorized_speedup_high": 10.0,
+            }
+        ]
+
+    def test_committed_records_still_load_and_compare_medians(self):
+        paths = sorted(ROOT.glob("results/BENCH_*.json"))
+        assert paths
+        for path in paths:
+            record = _load_record(str(path))
+            derived = _derive_metrics(record["workloads"])
+            assert not any(key.endswith(("_low", "_high")) for key in derived)
+            for row in derived.get("scaling_curve", []) + derived.get("lockstep_curve", []):
+                assert row["vectorized_speedup"] == row["serial_s"] / row["vectorized_s"]
+            for key in ("replicate_sweep_vectorized_speedup", "twophase_beta_sweep_speedup"):
+                if key in record.get("derived", {}):
+                    assert derived[key] == pytest.approx(record["derived"][key])
+            rows = compare_results(record, record)
+            assert rows and all(row["status"] == "ok" and row["ratio"] == 1.0 for row in rows)
+
+    def test_compare_says_whether_a_ratio_moved(self, tmp_path, capsys):
+        base = _ranged_record((5.2, 5.0, 5.4), (1.0, 0.95, 1.05))
+        noisy = _ranged_record((5.3, 5.0, 6.8), (1.0, 0.95, 1.05))
+        faster = _ranged_record((5.2, 5.0, 5.4), (0.5, 0.48, 0.52))
+        paths = {}
+        for name, record in (("base", base), ("noisy", noisy), ("faster", faster)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(record))
+        main(["compare", str(paths["base"]), str(paths["noisy"]), "--warn-only"])
+        out = capsys.readouterr().out
+        assert "two-phase beta-sweep speedup: old 5.20x [4.76–5.68x]" in out
+        assert out.rstrip().endswith("(within spread)")
+        main(["compare", str(paths["base"]), str(paths["faster"]), "--warn-only"])
+        assert capsys.readouterr().out.rstrip().endswith("(moved)")
 
 
 class TestCompare:
