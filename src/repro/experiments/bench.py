@@ -38,10 +38,11 @@ import platform as platform_module
 import statistics
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.analysis.lower_bounds import lower_bound
 from repro.core.strategies.registry import make_strategy
 from repro.experiments.parallel import StrategySpec, UniformPlatformSpec
 from repro.experiments.runner import average_normalized_comm
@@ -52,7 +53,8 @@ from repro.simulator.batch import fallback_reason
 from repro.simulator.engine import simulate
 from repro.simulator.events import EventQueue
 from repro.taskpool.sample_set import SampleSet
-from repro.utils.rng import as_generator
+from repro.utils.rng import as_generator, spawn_rngs
+from repro.utils.stats import RunningStats, Summary
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -176,88 +178,67 @@ def _sample_drain_workload(size: int) -> WorkloadFn:
     return run
 
 
-def _engine_params(strategy: StrategySpec, vectorize: "bool | str") -> Dict[str, Any]:
-    """BENCH-JSON engine metadata for a sweep workload.
+def _engine_params(strategy: StrategySpec) -> Dict[str, Any]:
+    """BENCH-JSON engine metadata for a ``*_vectorized`` sweep workload.
 
-    Resolves what engine the workload's replicates actually run on, so a
-    ``vectorize="auto"`` scalar fallback is recorded in the committed
-    record rather than silently skewing a comparison: ``engine`` is
-    ``"vectorized"`` or ``"scalar"``, and ``vectorize_fallback`` names the
-    reason (``"forced"`` for an explicit ``vectorize=False``, else a
-    :func:`repro.simulator.batch.fallback_reason` string).
+    Resolves what engine the runner's replicates actually run on, so a
+    scalar fallback is recorded in the committed record rather than
+    silently skewing a comparison: ``engine`` is ``"vectorized"``, or
+    ``"scalar"`` with ``vectorize_fallback`` naming the
+    :func:`repro.simulator.batch.fallback_reason` string.  ``*_serial``
+    workloads always record ``"scalar"``.
     """
-    if vectorize is False:
-        return {"engine": "scalar", "vectorize_fallback": "forced"}
     reason = fallback_reason(strategy())
     if reason is None:
         return {"engine": "vectorized"}
     return {"engine": "scalar", "vectorize_fallback": reason}
 
 
-def _sweep_workload(
-    strategy_name: str,
-    n: int,
-    p: int,
-    reps: int,
-    vectorize: "bool | str" = "auto",
-) -> WorkloadFn:
-    """Figure-style replicate sweep: *strategy_name* averaged over *reps*.
+def _serial_cell(strategy: StrategySpec, platform_spec: UniformPlatformSpec, reps: int, seed: int) -> Summary:
+    """One replicate cell on the scalar engine: one :func:`simulate` per replicate.
 
-    *vectorize* pins the engine selection so the serial baseline stays a
-    pure scalar-loop measurement (comparable with pre-batch records) while
-    the vectorized workload measures the batch engine.
+    Each replicate draws its platform from its :func:`spawn_rngs` stream
+    and simulates on the same stream — the inputs
+    :func:`average_normalized_comm` hands the batch engine — so the
+    summary equals the ``*_vectorized`` workload's bit for bit and the
+    pair times only the engine.
     """
-    strategy = StrategySpec(strategy_name, n)
-    platform_spec = UniformPlatformSpec(p)
-
-    def run(seed: int, prof: StageProfiler) -> object:
-        with prof.stage("sweep"):
-            return average_normalized_comm(
-                strategy,
-                platform_spec,
-                n,
-                reps,
-                seed=seed,
-                vectorize=vectorize,
-            )
-
-    return run
+    stats = RunningStats()
+    for rng in spawn_rngs(seed, reps):
+        platform = platform_spec(rng)
+        instance = strategy()
+        result = simulate(instance, platform, rng=rng)
+        stats.add(result.normalized(lower_bound(instance.kernel, platform.relative_speeds, strategy.n)))
+    return stats.summary()
 
 
-def _beta_sweep_workload(
-    strategy_name: str,
-    n: int,
-    p: int,
-    reps: int,
-    betas: "tuple[float, ...]",
-    vectorize: "bool | str",
-) -> WorkloadFn:
-    """Figure-6/11-style β sweep: a two-phase strategy across a β grid.
+def _cells_workload(cells: Sequence[StrategySpec], p: int, reps: int, serial: bool) -> WorkloadFn:
+    """Figure-style replicate cells on a *p*-worker uniform platform draw.
 
-    The sweep the paper's headline comparisons hinge on — one
-    ``average_normalized_comm`` cell per β, all replicates on the engine
-    *vectorize* selects, so the serial/vectorized workload pair measures
-    the two-phase kernels end to end.
+    *serial* times :func:`_serial_cell` per cell (the scalar baseline,
+    comparable with pre-batch records); otherwise
+    :func:`average_normalized_comm`, the runner's batch engine.
     """
     platform_spec = UniformPlatformSpec(p)
 
     def run(seed: int, prof: StageProfiler) -> object:
-        out = []
         with prof.stage("sweep"):
-            for beta in betas:
-                out.append(
-                    average_normalized_comm(
-                        StrategySpec(strategy_name, n, beta=float(beta)),
-                        platform_spec,
-                        n,
-                        reps,
-                        seed=seed,
-                        vectorize=vectorize,
-                    )
-                )
-        return out
+            if serial:
+                return [_serial_cell(cell, platform_spec, reps, seed) for cell in cells]
+            return [average_normalized_comm(cell, platform_spec, cell.n, reps, seed=seed) for cell in cells]
 
     return run
+
+
+def _engine_pair(name: str, cells: Sequence[StrategySpec], p: int, reps: int, **extra: Any) -> List[Workload]:
+    """``<name>_serial`` and ``<name>_vectorized``: *cells* timed on each engine."""
+    params = {"strategy": cells[0].name, "n": cells[0].n, "p": p, "reps": reps, **extra}
+    return [
+        Workload(f"{name}_serial", {**params, "engine": "scalar"}, _cells_workload(cells, p, reps, True)),
+        Workload(
+            f"{name}_vectorized", {**params, **_engine_params(cells[0])}, _cells_workload(cells, p, reps, False)
+        ),
+    ]
 
 
 #: The lockstep kernel's scaling cells, ``(label, strategy, n)`` at
@@ -278,37 +259,15 @@ def _scaling_suite() -> List[Workload]:
     measured on.
     """
     n, p = 16, 50
-    spec = StrategySpec("RandomMatrix", n)
     workloads: List[Workload] = []
     for reps in (1, 4, 16, 64):
-        base = {"strategy": "RandomMatrix", "n": n, "p": p, "reps": reps}
-        workloads.append(
-            Workload(
-                f"scaling_reps{reps:02d}_serial",
-                {**base, "vectorize": False, **_engine_params(spec, False)},
-                _sweep_workload("RandomMatrix", n, p, reps, vectorize=False),
-            )
-        )
-        workloads.append(
-            Workload(
-                f"scaling_reps{reps:02d}_vectorized",
-                {**base, "vectorize": True, **_engine_params(spec, True)},
-                _sweep_workload("RandomMatrix", n, p, reps, vectorize=True),
-            )
-        )
+        workloads += _engine_pair(f"scaling_reps{reps:02d}", [StrategySpec("RandomMatrix", n)], p, reps)
     lk_p = 100
     for label, strategy_name, lk_n in _LOCKSTEP_CELLS:
-        lk_spec = StrategySpec(strategy_name, lk_n)
         for reps in _LOCKSTEP_REPS:
-            base = {"strategy": strategy_name, "n": lk_n, "p": lk_p, "reps": reps}
-            for engine, vectorize in (("serial", False), ("vectorized", True)):
-                workloads.append(
-                    Workload(
-                        f"lockstep_{label}_reps{reps:02d}_{engine}",
-                        {**base, "vectorize": vectorize, **_engine_params(lk_spec, vectorize)},
-                        _sweep_workload(strategy_name, lk_n, lk_p, reps, vectorize=vectorize),
-                    )
-                )
+            workloads += _engine_pair(
+                f"lockstep_{label}_reps{reps:02d}", [StrategySpec(strategy_name, lk_n)], lk_p, reps
+            )
     # DynamicMatrix2Phases is the cell where vectorization pays most: the
     # scalar engine's per-event cost (cube marking, three n^2 block
     # caches) dwarfs the kernel's, and the static-speed phase-2 tail is
@@ -317,24 +276,8 @@ def _scaling_suite() -> List[Workload]:
     # lockstep and pull the aggregate down.
     tp_n, tp_p, tp_reps = 12, 20, 256
     tp_betas = (0.5, 1.0, 1.5, 2.0)
-    tp_spec = StrategySpec("DynamicMatrix2Phases", tp_n, beta=tp_betas[0])
-    tp_base = {
-        "strategy": "DynamicMatrix2Phases",
-        "n": tp_n,
-        "p": tp_p,
-        "reps": tp_reps,
-        "betas": list(tp_betas),
-    }
-    for engine, vectorize in (("serial", False), ("vectorized", True)):
-        workloads.append(
-            Workload(
-                f"twophase_beta_sweep_{engine}",
-                {**tp_base, "vectorize": vectorize, **_engine_params(tp_spec, vectorize)},
-                _beta_sweep_workload(
-                    "DynamicMatrix2Phases", tp_n, tp_p, tp_reps, tp_betas, vectorize
-                ),
-            )
-        )
+    tp_cells = [StrategySpec("DynamicMatrix2Phases", tp_n, beta=beta) for beta in tp_betas]
+    workloads += _engine_pair("twophase_beta_sweep", tp_cells, tp_p, tp_reps, betas=list(tp_betas))
     return workloads
 
 
@@ -394,18 +337,7 @@ def build_suite(suite: str = "default") -> List[Workload]:
             {"size": drain},
             _sample_drain_workload(drain),
         ),
-        Workload(
-            "replicate_sweep_serial",
-            {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "vectorize": False,
-             **_engine_params(StrategySpec("RandomMatrix", sweep_n), False)},
-            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, vectorize=False),
-        ),
-        Workload(
-            "replicate_sweep_vectorized",
-            {"strategy": "RandomMatrix", "n": sweep_n, "p": sweep_p, "reps": sweep_reps, "vectorize": True,
-             **_engine_params(StrategySpec("RandomMatrix", sweep_n), True)},
-            _sweep_workload("RandomMatrix", sweep_n, sweep_p, sweep_reps, vectorize=True),
-        ),
+        *_engine_pair("replicate_sweep", [StrategySpec("RandomMatrix", sweep_n)], sweep_p, sweep_reps),
     ]
 
 

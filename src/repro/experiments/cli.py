@@ -8,20 +8,23 @@ Examples::
     repro-experiments run all --scale paper --outdir results --cache cache --resume
 
 ``--cache DIR`` memoizes every replicate cell in a content-addressed
-:class:`~repro.store.cache.ResultStore`; ``--resume`` additionally skips
-figures whose CSV was already produced by an earlier (possibly killed) run
-with the same scale and seed.  Cached or not, outputs are bit-identical.
-See docs/CACHING.md.
+:class:`~repro.store.cache.ResultStore`; with ``--outdir`` too, every CSV
+written gets a ``flushed`` record in the store's journal
+(:mod:`repro.store.journal`), and ``--resume`` skips figures whose CSV an
+earlier (possibly killed) run with the same scale and seed recorded at
+its current bytes.  Cached or not, outputs are bit-identical.  See
+docs/CACHING.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.experiments.config import SCALES, FigureData
 from repro.experiments.figures import FIGURES, generate
@@ -29,7 +32,8 @@ from repro.experiments.io import render_figure, write_csv
 from repro.experiments.parallel import resolve_workers
 from repro.obs.profile import wall_time
 from repro.store.cache import ResultStore
-from repro.store.orchestrator import SweepOrchestrator
+from repro.store.fingerprint import fingerprint
+from repro.store.journal import Journal
 
 __all__ = ["main", "build_parser"]
 
@@ -139,10 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_store_and_orchestrator(
-    args: argparse.Namespace,
-) -> "tuple[Optional[ResultStore], Optional[SweepOrchestrator]]":
-    """Resolve ``--cache``/``--resume`` into (store, orchestrator) or exit."""
+def _open_store(args: argparse.Namespace) -> "tuple[Optional[ResultStore], Optional[Journal]]":
+    """Resolve ``--cache``/``--resume`` into (store, journal) or exit.
+
+    The journal comes with ``--outdir`` only: CSV records are appended
+    whenever a CSV is written to a cached run, so a plain cached run is
+    already resumable; ``--resume`` only enables skipping.
+    """
     if args.cache is None:
         if args.resume:
             raise SystemExit("--resume requires --cache")
@@ -150,10 +157,49 @@ def _open_store_and_orchestrator(
     if args.resume and not args.outdir:
         raise SystemExit("--resume requires --outdir (it verifies written CSVs)")
     store = ResultStore(args.cache)
-    # Manifests are recorded whenever they can be (cache + outdir), so a
-    # plain cached run is already resumable; --resume only enables skipping.
-    orch = SweepOrchestrator(store, scale=args.scale, seed=args.seed) if args.outdir else None
-    return store, orch
+    return store, Journal(store) if args.outdir else None
+
+
+def _csv_record(args: argparse.Namespace, figure_id: str, path: str) -> "Tuple[Optional[str], str]":
+    """``(job, cell)`` of the journal record for *figure_id*'s CSV at *path*.
+
+    The job is the figure's external-mode job id, one per (figure, scale,
+    seed); the cell fingerprints the CSV's absolute path and the sha256
+    of its current bytes, so an edited or moved CSV has another cell.
+    """
+    from repro.experiments.external import external_job_id
+
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    job = external_job_id(figure_id, scale=args.scale, seed=args.seed)
+    return job, fingerprint({"csv": os.path.abspath(path), "sha256": digest})
+
+
+def _record_csv(
+    args: argparse.Namespace, journal: Optional[Journal], figure_id: str, path: str
+) -> None:
+    """Append the ``flushed`` record that lets ``--resume`` skip *figure_id*."""
+    if journal is not None:
+        job, cell = _csv_record(args, figure_id, path)
+        journal.append("flushed", cell, job=job)
+
+
+def _recorded_csvs(args: argparse.Namespace, journal: Optional[Journal]) -> "Set[Tuple[Optional[str], str]]":
+    """Every ``flushed`` ``(job, cell)`` pair, from one replay; empty without ``--resume``.
+
+    Replay skips torn or corrupt lines, so a figure whose record did not
+    survive reruns instead of failing.
+    """
+    if not args.resume or journal is None:
+        return set()
+    return {(r.job, r.cell) for r in journal.replay().records if r.state == "flushed"}
+
+
+def _already_complete(
+    args: argparse.Namespace, recorded: "Set[Tuple[Optional[str], str]]", figure_id: str, path: str
+) -> bool:
+    """True iff the CSV at *path*, as it is now, has *figure_id*'s record."""
+    return bool(recorded) and os.path.isfile(path) and _csv_record(args, figure_id, path) in recorded
 
 
 def _drain(
@@ -168,7 +214,6 @@ def _drain(
     """
     from repro.experiments.external import drain_plans, drain_summary, plan_figures
     from repro.store.claims import ClaimRegistry
-    from repro.store.journal import Journal
 
     plans = plan_figures(figure_ids, scale=args.scale, seed=args.seed, cache=store)
     registry = ClaimRegistry(store, stale_after=args.claim_stale_after)
@@ -251,9 +296,9 @@ def _run_faults(args: argparse.Namespace) -> int:
 
     from repro.experiments.faults import churn_summary, flt01
 
-    store, orch = _open_store_and_orchestrator(args)
+    store, journal = _open_store(args)
     csv_path = os.path.join(args.outdir, f"flt01_{args.scale}.csv") if args.outdir else None
-    if args.resume and orch is not None and csv_path is not None and orch.completed_csv("flt01", csv_path):
+    if csv_path is not None and _already_complete(args, _recorded_csvs(args, journal), "flt01", csv_path):
         print(f"   [flt01 already complete: {csv_path} (resume)]")
         return 0
     start = wall_time()
@@ -265,8 +310,7 @@ def _run_faults(args: argparse.Namespace) -> int:
     if args.outdir:
         path = write_csv(fig, os.path.join(args.outdir, f"flt01_{args.scale}.csv"))
         print(f"   wrote {path}")
-        if orch is not None:
-            orch.mark_done("flt01", path)
+        _record_csv(args, journal, "flt01", path)
         if args.svg:
             from repro.experiments.svgplot import write_svg
 
@@ -318,13 +362,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         workers = resolve_workers(args.workers)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    store, orch = _open_store_and_orchestrator(args)
+    store, journal = _open_store(args)
     if args.workers_external and store is None:
         raise SystemExit("--workers-external requires --cache")
+    recorded = _recorded_csvs(args, journal)
     todo: List[str] = []
     for fid in figure_ids:
         csv_path = os.path.join(args.outdir, f"{fid}_{args.scale}.csv") if args.outdir else None
-        if args.resume and orch is not None and csv_path is not None and orch.completed_csv(fid, csv_path):
+        if csv_path is not None and _already_complete(args, recorded, fid, csv_path):
             print(f"   [{fid} already complete: {csv_path} (resume)]")
         else:
             todo.append(fid)
@@ -347,8 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.outdir:
                 path = write_csv(fig, os.path.join(args.outdir, f"{fid}_{args.scale}.csv"))
                 print(f"   wrote {path}")
-                if orch is not None:
-                    orch.mark_done(fid, path)
+                _record_csv(args, journal, fid, path)
                 if args.svg:
                     from repro.experiments.svgplot import write_svg
 

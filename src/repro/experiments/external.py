@@ -118,9 +118,11 @@ def plan_figures(
 def external_job_id(figure_id: str, *, scale: str, seed: SeedLike) -> Optional[str]:
     """Deterministic journal job id for one figure sweep, or ``None``.
 
-    ``None`` mirrors :class:`~repro.store.orchestrator.SweepOrchestrator`'s
-    unresumable case: a seed that cannot be tokenized cannot be identified
-    across processes, so its sweep gets no cross-process job identity.
+    The id names the figure's ``accepted`` cells and the ``flushed``
+    records of its CSVs that ``repro-experiments run --resume`` reads.
+    ``None`` is the unresumable case: a seed that cannot be tokenized
+    cannot be identified across processes, so its sweep gets no
+    cross-process job identity.
     """
     tok = seed_token(seed)
     if tok is None:

@@ -16,7 +16,7 @@ list of :class:`CellResult` out, one cell at a time.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -295,7 +295,6 @@ def run_cells(
     requests: Sequence[CellRequest],
     *,
     cache: Optional[ResultStore] = None,
-    vectorize: Union[bool, str] = "auto",
 ) -> List[CellResult]:
     """Run a batch of replicate cells through the replicate runner.
 
@@ -307,9 +306,8 @@ def run_cells(
     :class:`CellResult` carrying the error message instead of aborting the
     batch — the caller decides whether a cell failure is fatal.
 
-    ``vectorize`` is forwarded per cell; the batch runs sequentially in
-    the calling thread, so a thread-pool caller gets one OS thread per
-    *batch*, not per cell.
+    The batch runs sequentially in the calling thread, so a thread-pool
+    caller gets one OS thread per *batch*, not per cell.
     """
     from repro.experiments.runner import average_normalized_comm
 
@@ -323,7 +321,6 @@ def run_cells(
                 request.reps,
                 seed=request.seed,
                 cache=cache,
-                vectorize=vectorize,
             )
         except Exception as exc:
             results.append(CellResult(None, f"{type(exc).__name__}: {exc}"))

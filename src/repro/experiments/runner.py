@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,13 +23,7 @@ from repro.core.strategies.base import Strategy
 from repro.obs.sink import MetricsSink, RecordingSink
 from repro.platform.platform import Platform
 from repro.platform.speeds import SpeedModel, StaticSpeedModel
-from repro.simulator.batch import (
-    fallback_reason,
-    simulate_batch,
-    simulate_sweep,
-    sweep_group_key,
-)
-from repro.simulator.engine import simulate
+from repro.simulator.batch import simulate_batch, simulate_sweep, sweep_group_key
 from repro.store.cache import ResultStore
 from repro.store.cells import load_cell, replicate_cell_key, save_cell
 from repro.store.fingerprint import fingerprint
@@ -41,7 +35,6 @@ __all__ = [
     "average_normalized_comm_group",
     "collect_planned_cells",
     "mean_analysis_ratio",
-    "resolve_vectorize",
     "PlannedCell",
     "PlannedUnit",
     "PlatformFactory",
@@ -120,66 +113,6 @@ def _unpack(made: "Platform | tuple[Platform, SpeedModel]") -> "tuple[Platform, 
     return made, None
 
 
-def _rep_normalized_comm(
-    rng: np.random.Generator,
-    strategy_factory: StrategyFactory,
-    platform_factory: PlatformFactory,
-    n: int,
-    sink: Optional[MetricsSink] = None,
-) -> float:
-    """One repetition: draw a platform, simulate, normalize by the bound.
-
-    This is the unit of work of the scalar loop below; the batch engine
-    (:func:`_batch_outcomes`) consumes each stream in the same order.
-    """
-    platform, model = _unpack(platform_factory(rng))
-    strategy = strategy_factory()
-    result = simulate(strategy, platform, rng=rng, speed_model=model, sink=sink)
-    lb = lower_bound(strategy.kernel, platform.relative_speeds, n)
-    return result.normalized(lb)
-
-
-def resolve_vectorize(
-    vectorize: Union[bool, str], strategy_factory: StrategyFactory
-) -> "tuple[bool, Optional[str]]":
-    """Resolve a ``vectorize`` option against the strategy's capabilities.
-
-    Returns ``(use_batch, reason)``: *use_batch* selects the engine and
-    *reason* names why the scalar loop runs when it does (a
-    :func:`repro.simulator.batch.fallback_reason` string, or ``"forced"``
-    for an explicit ``vectorize=False``; ``None`` on the fast path).
-    Sweep metadata records the reason so auto fallbacks are visible in
-    bench and report output rather than silent.
-
-    ``"auto"`` opts in iff the strategy's exact type has a vector kernel
-    (and does not collect per-task ids); ``True`` demands one and raises
-    when unavailable; ``False`` always runs scalar.
-    """
-    if vectorize is False:
-        return False, "forced"
-    if vectorize not in (True, "auto"):
-        raise ValueError(
-            f"vectorize must be True, False or 'auto', got {vectorize!r}"
-        )
-    prototype = strategy_factory()
-    reason = fallback_reason(prototype)
-    if vectorize is True and reason is not None:
-        raise ValueError(
-            f"vectorize=True but strategy {prototype.name!r} cannot take the "
-            f"vectorized fast path ({reason}: no vector kernel for the exact "
-            "type, or per-task id collection); use vectorize='auto' to fall "
-            "back transparently"
-        )
-    return reason is None, reason
-
-
-def _should_vectorize(
-    vectorize: Union[bool, str], strategy_factory: StrategyFactory
-) -> bool:
-    """Engine selection only — see :func:`resolve_vectorize` for the reason."""
-    return resolve_vectorize(vectorize, strategy_factory)[0]
-
-
 def _batch_outcomes(
     generators: Sequence[np.random.Generator],
     strategy_factory: StrategyFactory,
@@ -187,12 +120,13 @@ def _batch_outcomes(
     n: int,
     collect_metrics: bool,
 ) -> "List[tuple[float, Optional[Dict[str, Any]]]]":
-    """Run one replicate per generator through the vectorized batch engine.
+    """Run one replicate per generator through :func:`simulate_batch`.
 
-    Per-replicate RNG consumption matches :func:`_rep_normalized_comm`
-    exactly: the platform draw comes first on each stream, then the
-    simulation, so outcomes (values and metric snapshots alike) are
-    bit-identical to the scalar unit of work — just computed in lockstep.
+    Each stream draws its platform first, then simulates — the order one
+    scalar :func:`~repro.simulator.simulate` call per replicate would
+    consume it in — so outcomes (values and metric snapshots alike) are
+    bit-identical to that scalar loop, whichever engine
+    :func:`~repro.simulator.batch.fallback_reason` selects.
     """
     platforms: List[Platform] = []
     models: List[Optional[SpeedModel]] = []
@@ -255,7 +189,6 @@ def average_normalized_comm(
     seed: SeedLike = 0,
     sink: Optional[MetricsSink] = None,
     cache: Optional[ResultStore] = None,
-    vectorize: Union[bool, str] = "auto",
 ) -> Summary:
     """Mean/std of normalized communication over *reps* simulations.
 
@@ -266,8 +199,8 @@ def average_normalized_comm(
     When a *sink* is given, every repetition is instrumented with a fresh
     :class:`~repro.obs.sink.RecordingSink` whose snapshot is folded into
     *sink* via :meth:`~repro.obs.sink.MetricsSink.absorb_snapshot` in
-    repetition order — the same fold sequence on either engine, so
-    accumulated metrics are bit-identical too.
+    repetition order — the fold sequence of a scalar run, so accumulated
+    metrics are bit-identical too.
 
     A *cache* (:class:`~repro.store.cache.ResultStore`) memoizes the whole
     cell: when both factories expose a ``cache_token()`` and the seed is
@@ -277,13 +210,11 @@ def average_normalized_comm(
     exactly and cached snapshots replay through the same fold.  Uncacheable
     inputs silently bypass the cache.
 
-    ``vectorize`` selects the batch engine
-    (:func:`repro.simulator.simulate_batch`): ``"auto"`` (the default) uses
-    it whenever the strategy has a vector kernel, ``False`` forces the
-    scalar loop, ``True`` raises if no kernel exists.  Because the batch
-    engine is bit-identical to the scalar oracle, the setting changes
-    runtime only — summaries, sink snapshots and cache entries are the
-    same objects either way (cache keys deliberately ignore it).
+    The replicates run through :func:`repro.simulator.simulate_batch`,
+    which takes a vector kernel when the strategy's exact type has one and
+    otherwise runs one scalar :func:`~repro.simulator.simulate` per
+    replicate; both are bit-identical to the scalar oracle, so the engine
+    changes runtime only.
     """
     if reps <= 0:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -293,7 +224,6 @@ def average_normalized_comm(
             (_planned_cell(strategy_factory, platform_factory, n, reps, seed, sink is not None),)
         )
         return _PLAN_PLACEHOLDER
-    use_batch = _should_vectorize(vectorize, strategy_factory)
     key = None
     if cache is not None:
         key = replicate_cell_key(
@@ -312,33 +242,14 @@ def average_normalized_comm(
         [] if (key is not None and sink is not None) else None
     )
     stats = RunningStats()
-    if use_batch:
-        outcomes = _batch_outcomes(
-            spawn_rngs(seed, reps),
-            strategy_factory,
-            platform_factory,
-            n,
-            collect_metrics=sink is not None,
-        )
-        for value, snapshot in outcomes:
-            stats.add(value)
-            if sink is not None and snapshot is not None:
-                sink.absorb_snapshot(snapshot)
-                if snapshots is not None:
-                    snapshots.append(snapshot)
-    else:
-        for rng in spawn_rngs(seed, reps):
-            if sink is None:
-                stats.add(_rep_normalized_comm(rng, strategy_factory, platform_factory, n))
-            else:
-                rep_sink = RecordingSink()
-                stats.add(
-                    _rep_normalized_comm(rng, strategy_factory, platform_factory, n, sink=rep_sink)
-                )
-                snapshot = rep_sink.snapshot()
-                sink.absorb_snapshot(snapshot)
-                if snapshots is not None:
-                    snapshots.append(snapshot)
+    for value, snapshot in _batch_outcomes(
+        spawn_rngs(seed, reps), strategy_factory, platform_factory, n, collect_metrics=sink is not None
+    ):
+        stats.add(value)
+        if sink is not None and snapshot is not None:
+            sink.absorb_snapshot(snapshot)
+            if snapshots is not None:
+                snapshots.append(snapshot)
     summary = stats.summary()
     if cache is not None and key is not None:
         save_cell(cache, key, summary, snapshots)
@@ -354,7 +265,6 @@ def average_normalized_comm_group(
     seed: SeedLike = 0,
     sink: Optional[MetricsSink] = None,
     cache: Optional[ResultStore] = None,
-    vectorize: Union[bool, str] = "auto",
 ) -> List[Summary]:
     """One figure point: ``[average_normalized_comm(f, ...) for f in strategy_factories]``.
 
@@ -368,9 +278,9 @@ def average_normalized_comm_group(
     finishes.  Cells outside a group go through
     :func:`average_normalized_comm` as they are, in order.
 
-    The whole point falls back to that per-cell loop with
-    ``vectorize=False``, a *sink*, or a non-integer seed (a generator or
-    seed sequence advances between cells); a group whose platform factory
+    The whole point falls back to that per-cell loop with a *sink* or a
+    non-integer seed (a generator or seed sequence advances between
+    cells); a group whose platform factory
     yields a non-static speed model computes its cells one by one.  A
     cell repeating an earlier cell's key is probed after the group is
     stored, so even the store's hit and put counts match the loop.
@@ -392,11 +302,10 @@ def average_normalized_comm_group(
             seed=seed,
             sink=sink,
             cache=cache,
-            vectorize=vectorize,
         )
 
     integer_seed = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if vectorize not in (True, "auto") or sink is not None or not integer_seed:
+    if sink is not None or not integer_seed:
         return [one(factory) for factory in strategy_factories]
     by_key: Dict[Any, List[int]] = {}
     for idx, factory in enumerate(strategy_factories):
@@ -451,9 +360,7 @@ def average_normalized_comm_group(
             continue
         factories = [strategy_factories[i] for i in missing]
         computed = _sweep_summaries(factories, platform_factory, n, reps, seed) or [
-            average_normalized_comm(
-                factory, platform_factory, n, reps, seed=seed, vectorize=vectorize
-            )
+            average_normalized_comm(factory, platform_factory, n, reps, seed=seed)
             for factory in factories
         ]
         for i, summary in zip(missing, computed):

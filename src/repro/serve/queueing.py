@@ -360,8 +360,8 @@ class SimulationLane:
         """One engine batch on the executor, heartbeating claimed cells."""
         if self._claims is not None and claimed_fps:
             with self._claims.ticker(claimed_fps):
-                return run_cells(requests, cache=self._store, vectorize="auto")
-        return run_cells(requests, cache=self._store, vectorize="auto")
+                return run_cells(requests, cache=self._store)
+        return run_cells(requests, cache=self._store)
 
     def _finalize_claims(self, batch: List[_Job], settled: List[_Settled]) -> None:
         """Journal and release every claimed cell of a finished batch.

@@ -270,7 +270,8 @@ def _fifo_fix(
     for a, b in zip(starts[multi].tolist(), ends[multi].tolist()):
         ids = order[a:b]
         w = ids % p
-        if np.unique(w).size != w.size:
+        ordered = np.sort(w)  # not np.unique(w), which imports numpy.ma
+        if (ordered[1:] == ordered[:-1]).any():
             return None
         first_key = w if rank0 is None else rank0[w]
         keys = np.where(ids < p, first_key - p, pos[ids - p])

@@ -1,4 +1,4 @@
-"""Content-addressed result cache and resumable sweep orchestration.
+"""Content-addressed result cache, claims and journal for resumable sweeps.
 
 Paper-scale sweeps (``repro-experiments run all --scale paper``) are grids
 of independent (strategy, platform, n, seed) cells — the canonical shape
@@ -21,13 +21,12 @@ Layered API:
   runner's replicate cells (:class:`~repro.utils.stats.Summary` values);
 * :mod:`repro.store.results` — caching wrapper for single simulations
   (serialized :class:`~repro.simulator.results.SimulationResult` values);
-* :mod:`repro.store.orchestrator` — figure-level resume manifests for
-  ``repro-experiments run --resume``;
 * :mod:`repro.store.claims` — per-cell claim files with heartbeats and
   stale-claim stealing, so N processes share one cold store without
   duplicate computation (see docs/DISTRIBUTED.md);
-* :mod:`repro.store.journal` — the append-only checksummed request
-  journal that lets a killed service answer "was my sweep finished?";
+* :mod:`repro.store.journal` — the append-only checksummed journal that
+  lets a killed service answer "was my sweep finished?" and holds the
+  per-CSV records ``repro-experiments run --resume`` skips figures by;
 * :mod:`repro.store.cli` — the ``repro-store`` maintenance tool
   (``stats``/``ls``/``gc``/``verify``/``claims``/``journal``).
 """
@@ -46,7 +45,6 @@ from repro.store.fingerprint import (
 )
 from repro.store.journal import Journal
 from repro.store.lock import FileLock
-from repro.store.orchestrator import SweepOrchestrator
 from repro.store.results import run_cached_simulation
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "Journal",
     "ResultStore",
     "StoreCounts",
-    "SweepOrchestrator",
     "canonical_json",
     "drain_cells",
     "fingerprint",

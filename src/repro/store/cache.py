@@ -118,7 +118,7 @@ class ResultStore:
         return os.path.join(self._objects_dir(), fp[:2], f"{fp}.json")
 
     def lock(self) -> FileLock:
-        """The store-wide writer lock (shared with orchestrator manifests)."""
+        """The store-wide writer lock (shared with journal appends)."""
         return FileLock(self._lock_path())
 
     # -- events -----------------------------------------------------------------

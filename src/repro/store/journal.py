@@ -138,7 +138,8 @@ class Journal:
 
         Returns the number of records written.  Whole lines only: a reader
         can never observe half of one process's record interleaved with
-        another's.
+        another's, and a torn final line left by a killed writer is ended
+        first, so it cannot corrupt the records appended after it.
         """
         if state not in _STATE_RANK:
             raise ValueError(
@@ -147,9 +148,17 @@ class Journal:
         lines = [self._format_record(state, cell, job, owner) for cell in cells]
         if not lines:
             return 0
-        data = "".join(lines)
+        data = "".join(lines).encode("utf-8")
         with self._store.lock():
-            with open(self.path, "a", encoding="utf-8") as fh:
+            with open(self.path, "ab+") as fh:
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        # A writer died mid-line: end the torn line so it
+                        # stays one corrupt record instead of swallowing
+                        # this one.
+                        data = b"\n" + data
                 fh.write(data)
         if self._sink is not None:
             for _ in lines:

@@ -1,6 +1,6 @@
 """Advisory file locking so parallel replicates share one cache safely.
 
-Writers (``put``, ``gc``, manifest updates) serialize on a single lock file
+Writers (``put``, ``gc``, journal appends) serialize on a single lock file
 per store; readers never lock because every write is an atomic
 ``os.replace`` of a complete file.  ``fcntl.flock`` is used where available
 (POSIX); elsewhere an ``O_EXCL`` lock file with stale-lock breaking keeps

@@ -2,8 +2,9 @@
 
 Where :mod:`repro.store.cells` caches *aggregated* replicate cells, this
 module caches one :class:`~repro.simulator.results.SimulationResult` at a
-time — the granularity of ``repro-report run`` and of the churn sweep's
-per-schedule runs.  Payloads are the exact JSON documents produced by
+time — the granularity of ``repro-report run``.  (The churn sweep, flt01,
+caches whole crash levels under its own ``churn-cell`` key in
+:mod:`repro.experiments.faults`.)  Payloads are the exact JSON documents produced by
 :func:`repro.simulator.serialize.result_to_json` (which round-trips traces
 and :class:`~repro.simulator.results.FaultStats` losslessly), plus the run's
 sink snapshot when metrics were collected.

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.taskpool._arrays import single_index_array
+from repro.taskpool._arrays import single_index_array, sorted_distinct
 from repro.utils.validation import check_positive_int
 
 __all__ = ["OuterTaskPool"]
@@ -190,7 +190,7 @@ class OuterTaskPool:
         skipped, so the call is idempotent.  Returns the number of tasks
         actually released.
         """
-        flat = np.unique(np.asarray(flat_ids, dtype=np.int64))
+        flat = sorted_distinct(np.asarray(flat_ids, dtype=np.int64))
         if flat.size == 0:
             return 0
         if flat[0] < 0 or flat[-1] >= self._n * self._n:

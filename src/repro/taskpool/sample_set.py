@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
+from repro.taskpool._arrays import sorted_distinct
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 __all__ = ["FastDrawMixin", "FastSampleSet", "SampleSet"]
@@ -64,7 +65,7 @@ class SampleSet:
             if member_arr.size:
                 if member_arr.min() < 0 or member_arr.max() >= self._universe:
                     raise ValueError("members must lie in [0, universe)")
-                if np.unique(member_arr).size != member_arr.size:
+                if sorted_distinct(member_arr).size != member_arr.size:
                     raise ValueError("members must be distinct")
             self._items = member_arr.tolist() + [0] * (self._universe - int(member_arr.size))
             pos = np.full(self._universe, -1, dtype=np.int64)

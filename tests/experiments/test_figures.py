@@ -89,8 +89,13 @@ class TestStrategySweeps:
         fig = figures[fid]
         two_phase = "DynamicOuter2Phases" if kernel == "outer" else "DynamicMatrix2Phases"
         rnd = "RandomOuter" if kernel == "outer" else "RandomMatrix"
+        srt = "SortedOuter" if kernel == "outer" else "SortedMatrix"
+        # Fig 5 (n = 1000 in the paper): the random/data-aware gap widens.
+        min_gap = 1.5 if fid == "fig05" else 1.0
         for i in range(len(fig[two_phase])):
             assert fig[two_phase].mean[i] < fig[rnd].mean[i]
+            assert fig[two_phase].mean[i] < fig[srt].mean[i]
+            assert fig[rnd].mean[i] / fig[two_phase].mean[i] > min_gap
 
     def test_analysis_tracks_two_phase(self, figures, fid, kernel):
         """The analysis must track the simulated strategy at the largest p.
@@ -146,6 +151,7 @@ class TestFig08:
         fig = figures["fig08"]
         for i in range(6):
             assert fig["DynamicOuter"].mean[i] < fig["RandomOuter"].mean[i]
+            assert fig["DynamicOuter2Phases"].mean[i] < fig["RandomOuter"].mean[i]
 
 
 class TestSec36:

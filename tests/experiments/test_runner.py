@@ -142,10 +142,9 @@ class TestGroupEntry:
         loop_cells = [cell for unit in loop_units for cell in unit]
         assert sorted(group_cells, key=repr) == sorted(loop_cells, key=repr)
 
-    @pytest.mark.parametrize("case", ["scalar", "sink", "seed-sequence"])
+    @pytest.mark.parametrize("case", ["sink", "seed-sequence"])
     def test_plans_cell_by_cell_when_not_grouped(self, case):
         options = {
-            "scalar": {"vectorize": False},
             "sink": {"sink": RecordingSink()},
             "seed-sequence": {"seed": np.random.SeedSequence(7)},
         }[case]
@@ -153,7 +152,7 @@ class TestGroupEntry:
             average_normalized_comm_group(POINT, UniformPlatformSpec(6), 10, 3, **options)
         assert [len(unit) for unit in units] == [1] * len(POINT)
 
-    @pytest.mark.parametrize("case", ["scalar", "sink", "dynamic-speeds", "seed-sequence"])
+    @pytest.mark.parametrize("case", ["sink", "dynamic-speeds", "seed-sequence"])
     def test_delegates_cell_by_cell(self, monkeypatch, case):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the shared lockstep must not run")
@@ -167,7 +166,6 @@ class TestGroupEntry:
         def options():
             # Fresh per call: sinks and seed sequences carry state.
             return {
-                "scalar": {"vectorize": False},
                 "sink": {"sink": RecordingSink()},
                 "seed-sequence": {"seed": np.random.SeedSequence(7)},
             }.get(case, {})

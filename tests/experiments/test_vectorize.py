@@ -1,18 +1,53 @@
 """Vectorized-engine wiring through the runner and bench layers.
 
 The engine-level equivalence lives in ``tests/simulator/test_batch.py``;
-here we pin the plumbing: ``vectorize`` mode resolution, bit-identical
-summaries/snapshots across engine selections, cache coherence across
-modes, and the bench suite's scaling workloads and derived metrics.
+here we pin the plumbing: the runner's summaries and sink snapshots equal
+a scalar oracle loop (one :func:`simulate` per replicate) on kernel cells
+and on cells that fall back, cache entries equal the oracle too, and the
+bench suite's scaling workloads and derived metrics.
 """
 
 import pytest
 
+from repro.core.analysis.lower_bounds import lower_bound
+from repro.core.strategies import OuterDynamic
 from repro.experiments.bench import _derive_metrics, build_suite
-from repro.experiments.parallel import StrategySpec, UniformPlatformSpec
+from repro.experiments.parallel import (
+    HeterogeneityPlatformSpec,
+    ScenarioPlatformSpec,
+    StrategySpec,
+    UniformPlatformSpec,
+)
 from repro.experiments.runner import average_normalized_comm
+from repro.obs.profile import StageProfiler
 from repro.obs.sink import RecordingSink
+from repro.simulator.engine import simulate
 from repro.store.cache import ResultStore
+from repro.utils.rng import spawn_rngs
+from repro.utils.stats import RunningStats
+
+
+def scalar_oracle(strategy_factory, platform_factory, n, reps, seed, sink=None):
+    """The runner's cell as one scalar simulate per replicate.
+
+    Each stream draws its platform, then simulates; with a *sink*, each
+    replicate's snapshot is folded in replicate order.
+    """
+    stats = RunningStats()
+    for rng in spawn_rngs(seed, reps):
+        made = platform_factory(rng)
+        platform, model = made if isinstance(made, tuple) else (made, None)
+        strategy = strategy_factory()
+        rep_sink = None if sink is None else RecordingSink()
+        result = simulate(strategy, platform, rng=rng, speed_model=model, sink=rep_sink)
+        stats.add(result.normalized(lower_bound(strategy.kernel, platform.relative_speeds, n)))
+        if sink is not None:
+            sink.absorb_snapshot(rep_sink.snapshot())
+    return stats.summary()
+
+
+class UserOuterDynamic(OuterDynamic):
+    """A user subclass: the registry gives it no vector kernel."""
 
 
 @pytest.fixture
@@ -23,57 +58,50 @@ def cell():
 class TestRunnerVectorize:
     def test_modes_bit_identical(self, cell):
         strategy, platform = cell
-        scalar = average_normalized_comm(strategy, platform, 6, 5, seed=2, vectorize=False)
-        vector = average_normalized_comm(strategy, platform, 6, 5, seed=2, vectorize=True)
-        auto = average_normalized_comm(strategy, platform, 6, 5, seed=2)
-        assert scalar == vector == auto
+        runner = average_normalized_comm(strategy, platform, 6, 5, seed=2)
+        assert runner == scalar_oracle(strategy, platform, 6, 5, seed=2)
 
     def test_sink_snapshots_bit_identical(self, cell):
         strategy, platform = cell
-        scalar_sink, vector_sink = RecordingSink(), RecordingSink()
-        average_normalized_comm(
-            strategy, platform, 6, 4, seed=3, vectorize=False, sink=scalar_sink
-        )
-        average_normalized_comm(
-            strategy, platform, 6, 4, seed=3, vectorize=True, sink=vector_sink
-        )
-        assert scalar_sink.snapshot() == vector_sink.snapshot()
+        runner_sink, oracle_sink = RecordingSink(), RecordingSink()
+        average_normalized_comm(strategy, platform, 6, 4, seed=3, sink=runner_sink)
+        scalar_oracle(strategy, platform, 6, 4, seed=3, sink=oracle_sink)
+        assert runner_sink.snapshot() == oracle_sink.snapshot()
 
     def test_auto_falls_back_for_fast_path_ineligible_strategy(self, cell):
         # collect_ids needs per-task id lists the kernels do not build, so
-        # "auto" must transparently run the scalar loop.
+        # the batch engine runs the scalar loop for it.
         _, platform = cell
         strategy = StrategySpec("RandomOuter", 6, collect_ids=True)
-        scalar = average_normalized_comm(strategy, platform, 6, 3, seed=1, vectorize=False)
-        auto = average_normalized_comm(strategy, platform, 6, 3, seed=1)
-        assert scalar == auto
+        runner = average_normalized_comm(strategy, platform, 6, 3, seed=1)
+        assert runner == scalar_oracle(strategy, platform, 6, 3, seed=1)
 
-    def test_true_requires_the_fast_path(self, cell):
-        _, platform = cell
-        with pytest.raises(ValueError, match="no vector kernel"):
-            average_normalized_comm(
-                StrategySpec("RandomOuter", 6, collect_ids=True),
-                platform,
-                6,
-                3,
-                vectorize=True,
-            )
-
-    def test_invalid_mode_rejected(self, cell):
-        strategy, platform = cell
-        with pytest.raises(ValueError, match="vectorize"):
-            average_normalized_comm(strategy, platform, 6, 3, vectorize="yes")
+    @pytest.mark.parametrize("with_sink", [False, True], ids=["plain", "sink"])
+    @pytest.mark.parametrize(
+        "strategy,platform",
+        [
+            (lambda: UserOuterDynamic(8), UniformPlatformSpec(5)),
+            (StrategySpec("DynamicOuter2Phases", 8), ScenarioPlatformSpec("dyn.5", 5)),
+            (StrategySpec("DynamicMatrix", 5), ScenarioPlatformSpec("dyn.20", 5)),
+            (StrategySpec("SortedOuter", 8), HeterogeneityPlatformSpec(5, 60.0)),
+        ],
+        ids=["user-subclass", "dyn.5", "dyn.20", "heterogeneity"],
+    )
+    def test_matches_scalar_oracle(self, strategy, platform, with_sink):
+        n = strategy().n
+        runner_sink = RecordingSink() if with_sink else None
+        oracle_sink = RecordingSink() if with_sink else None
+        runner = average_normalized_comm(strategy, platform, n, 3, seed=7, sink=runner_sink)
+        assert runner == scalar_oracle(strategy, platform, n, 3, seed=7, sink=oracle_sink)
+        if with_sink:
+            assert runner_sink.snapshot() == oracle_sink.snapshot()
 
     def test_cache_coherent_across_modes(self, cell, tmp_path):
         strategy, platform = cell
         store = ResultStore(str(tmp_path))
-        scalar = average_normalized_comm(
-            strategy, platform, 6, 4, seed=5, vectorize=False, cache=store
-        )
-        hit = average_normalized_comm(
-            strategy, platform, 6, 4, seed=5, vectorize=True, cache=store
-        )
-        assert scalar == hit
+        miss = average_normalized_comm(strategy, platform, 6, 4, seed=5, cache=store)
+        hit = average_normalized_comm(strategy, platform, 6, 4, seed=5, cache=store)
+        assert miss == hit == scalar_oracle(strategy, platform, 6, 4, seed=5)
         assert store.counts.hits == 1
 
 
@@ -97,7 +125,7 @@ class TestBenchScaling:
         assert by_name["twophase_beta_sweep_vectorized"].params["engine"] == "vectorized"
         serial = by_name["twophase_beta_sweep_serial"].params
         assert serial["engine"] == "scalar"
-        assert serial["vectorize_fallback"] == "forced"
+        assert "vectorize_fallback" not in serial
         lockstep = by_name["lockstep_matrix_reps05_vectorized"].params
         assert (lockstep["strategy"], lockstep["n"], lockstep["p"], lockstep["reps"]) == (
             "DynamicMatrix",
@@ -119,6 +147,13 @@ class TestBenchScaling:
     def test_quick_suite_has_vectorized_workload(self):
         names = [wl.name for wl in build_suite("quick")]
         assert "replicate_sweep_vectorized" in names
+
+    def test_serial_rows_compute_the_vectorized_rows_cells(self):
+        # The pair differs in engine only: same streams, same platforms.
+        by_name = {wl.name: wl for wl in build_suite("quick")}
+        serial = by_name["replicate_sweep_serial"].fn(4, StageProfiler(enabled=False))
+        vectorized = by_name["replicate_sweep_vectorized"].fn(4, StageProfiler(enabled=False))
+        assert serial == vectorized
 
     @staticmethod
     def _entry(median):

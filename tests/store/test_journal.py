@@ -64,6 +64,16 @@ class TestCorruption:
         assert replay.corrupt == 1
         assert [r.cell for r in replay.records] == ["fp0", "fp1"]
 
+    def test_append_after_a_torn_tail_stays_whole(self, tmp_path):
+        _, journal = make_journal(tmp_path)
+        self.seed(journal)
+        with open(journal.path, "rb+") as fh:
+            fh.truncate(fh.seek(0, 2) - 10)  # SIGKILL mid-append
+        journal.append("flushed", "after")
+        replay = journal.replay()
+        assert replay.corrupt == 1
+        assert [r.cell for r in replay.records] == ["fp0", "fp1", "after"]
+
     def test_bit_flipped_checksum_is_detected(self, tmp_path):
         _, journal = make_journal(tmp_path)
         self.seed(journal)

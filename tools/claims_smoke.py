@@ -16,7 +16,10 @@ processes and a real SIGKILL:
 4. the harness asserts both survivors exited 0, at least one steal
    happened, the journal holds **exactly one** ``computed`` record per
    cell (no duplicate engine work), and every worker's CSV is
-   byte-identical to the reference.
+   byte-identical to the reference;
+5. one survivor's command reruns with ``--resume``: the CSV records the
+   survivors appended to the shared journal must make it print
+   ``[<figure> already complete`` and journal no new ``computed`` record.
 
 Run it from the repo root::
 
@@ -45,7 +48,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from repro.experiments.external import external_job_id, plan_figures  # noqa: E402
 from repro.store.cache import ResultStore  # noqa: E402
 from repro.store.claims import ClaimRegistry  # noqa: E402
-from repro.store.journal import Journal  # noqa: E402
+from repro.store.journal import Journal, JournalReplay  # noqa: E402
 
 _RUN_SHIM = "import sys; from repro.experiments.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -83,25 +86,29 @@ def hold(root: str, figure: str, scale: str, seed: int) -> int:
             time.sleep(60.0)
 
 
+def _worker_argv(figure: str, scale: str, cache: str, outdir: str, stale: float) -> List[str]:
+    return [
+        sys.executable,
+        "-c",
+        _RUN_SHIM,
+        "run",
+        figure,
+        "--scale",
+        scale,
+        "--quiet",
+        "--cache",
+        cache,
+        "--outdir",
+        outdir,
+        "--workers-external",
+        "--claim-stale-after",
+        str(stale),
+    ]
+
+
 def _run_worker(figure: str, scale: str, cache: str, outdir: str, stale: float) -> subprocess.Popen:
     return subprocess.Popen(
-        [
-            sys.executable,
-            "-c",
-            _RUN_SHIM,
-            "run",
-            figure,
-            "--scale",
-            scale,
-            "--quiet",
-            "--cache",
-            cache,
-            "--outdir",
-            outdir,
-            "--workers-external",
-            "--claim-stale-after",
-            str(stale),
-        ],
+        _worker_argv(figure, scale, cache, outdir, stale),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -161,10 +168,7 @@ def scenario(figure: str, scale: str, stale: float) -> int:
 
     store = ResultStore(cache)
     replay = Journal(store).replay()
-    computed: dict = {}
-    for record in replay.records:
-        if record.state == "computed":
-            computed[record.cell] = computed.get(record.cell, 0) + 1
+    computed = _computed(replay)
     duplicates = {fp: n for fp, n in computed.items() if n > 1}
     if duplicates:
         raise SystemExit(f"cells computed more than once: {duplicates}")
@@ -188,7 +192,29 @@ def scenario(figure: str, scale: str, stale: float) -> int:
             if fh.read() != expected:
                 raise SystemExit(f"{out}/{csv_name} differs from the reference CSV")
     print("claims-smoke: every worker CSV byte-identical to the reference", flush=True)
+
+    resumed = subprocess.run(
+        _worker_argv(figure, scale, cache, outs[0], stale) + ["--resume"],
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=600,
+    )
+    if resumed.returncode != 0 or f"[{figure} already complete" not in resumed.stdout:
+        raise SystemExit(f"--resume did not skip the finished figure: {resumed.stdout}{resumed.stderr}")
+    if _computed(Journal(store).replay()) != computed:
+        raise SystemExit("--resume journaled new computed records")
+    print("claims-smoke: --resume skipped the figure from its journal record", flush=True)
     return 0
+
+
+def _computed(replay: JournalReplay) -> dict:
+    """Per cell, how many ``computed`` records *replay* holds."""
+    counts: dict = {}
+    for record in replay.records:
+        if record.state == "computed":
+            counts[record.cell] = counts.get(record.cell, 0) + 1
+    return counts
 
 
 def main(argv: Optional[List[str]] = None) -> int:
