@@ -53,7 +53,7 @@ from repro.simulator.batch import fallback_reason
 from repro.simulator.engine import simulate
 from repro.simulator.events import EventQueue
 from repro.taskpool.sample_set import SampleSet
-from repro.utils.rng import as_generator, spawn_rngs
+from repro.utils.rng import as_generator, raw_draw_fallback, spawn_rngs
 from repro.utils.stats import RunningStats, Summary
 from repro.utils.validation import check_positive_int
 
@@ -185,13 +185,20 @@ def _engine_params(strategy: StrategySpec) -> Dict[str, Any]:
     scalar fallback is recorded in the committed record rather than
     silently skewing a comparison: ``engine`` is ``"vectorized"``, or
     ``"scalar"`` with ``vectorize_fallback`` naming the
-    :func:`repro.simulator.batch.fallback_reason` string.  ``*_serial``
+    :func:`repro.simulator.batch.fallback_reason` string.  A vectorized
+    row also records how the kernels' per-event draws ran on the
+    runner's streams: ``draws`` is ``"raw-pcg64"``, or ``"integers"``
+    with ``draws_fallback`` naming the
+    :func:`repro.utils.rng.raw_draw_fallback` string.  ``*_serial``
     workloads always record ``"scalar"``.
     """
     reason = fallback_reason(strategy())
-    if reason is None:
-        return {"engine": "vectorized"}
-    return {"engine": "scalar", "vectorize_fallback": reason}
+    if reason is not None:
+        return {"engine": "scalar", "vectorize_fallback": reason}
+    draws = raw_draw_fallback(spawn_rngs(0, 1)[0])
+    if draws is None:
+        return {"engine": "vectorized", "draws": "raw-pcg64"}
+    return {"engine": "vectorized", "draws": "integers", "draws_fallback": draws}
 
 
 def _serial_cell(strategy: StrategySpec, platform_spec: UniformPlatformSpec, reps: int, seed: int) -> Summary:

@@ -103,8 +103,9 @@ def fallback_reason(
         internal state would interleave streams, which only sequential
         scalar runs order correctly.
 
-    Sweep metadata records this string so ``vectorize="auto"`` fallbacks
-    are visible rather than silent.
+    Figure metadata (``engine``), ``repro-bench`` records and the
+    ``repro-report`` engine note name this string, so a scalar fallback
+    is visible rather than silent.
     """
     if kernel_for(strategy) is None:
         return "no-kernel"

@@ -42,7 +42,15 @@ Two kernel families cover all ten registry strategies:
 Dynamic speed models (``dyn.*``) no longer force the scalar engine:
 each event's duration replays ``model.duration`` on the replicate's own
 stream, in pop order — exactly the call the scalar loop makes after each
-assignment (see :meth:`_LockstepAccumulator.commit`).
+assignment, a one-task event's in the kernel itself with the same draw
+and float operations (see :meth:`_LockstepAccumulator.commit`).
+
+Per-event bounded draws (the Dynamic* index draws, the frozen phase-2
+sampler, the task-by-task kernel's dynamic-speed path) go through
+:func:`repro.utils.rng.bounded_draws`: ``Generator.integers(size)``'s
+values and stream consumption, from raw PCG64 words when the generator
+allows it.  The kernel writes the buffered half word back before phase 2
+or a deep copy reads the generator, and at the end of the run.
 
 Strategies without a kernel here (user subclasses) transparently fall
 back to per-replicate scalar simulation in the batch engine — the
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -70,8 +78,9 @@ from repro.core.strategies.outer_dynamic import OuterDynamic
 from repro.core.strategies.outer_random import OuterRandom, OuterSorted
 from repro.core.strategies.outer_two_phase import OuterTwoPhase
 from repro.platform.platform import Platform
-from repro.platform.speeds import SpeedModel, StaticSpeedModel
+from repro.platform.speeds import _SPEED_FLOOR, DynamicSpeedModel, SpeedModel, StaticSpeedModel
 from repro.simulator.engine import LivelockError
+from repro.utils.rng import bounded_draws
 
 __all__ = [
     "BatchContext",
@@ -84,6 +93,10 @@ __all__ = [
 #: One simulated assignment, scalar-typed for trace/sink replay:
 #: ``(time, worker, blocks, tasks, duration, phase)``.
 Event = Tuple[float, int, int, int, float, int]
+
+#: A replicate's per-event bounded draw, ``int(generator.integers(size))``
+#: (:meth:`repro.utils.rng.BoundedDraws.integers`).
+_Integers = Callable[[int], int]
 
 
 class BatchContext(NamedTuple):
@@ -254,31 +267,37 @@ def _fifo_fix(
     the caller must replay the heap exactly.
     """
     t_sorted = flat[order]
-    m = int(t_sorted.size)
-    boundary = np.empty(m, dtype=bool)
-    boundary[0] = True
-    np.not_equal(t_sorted[1:], t_sorted[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], m)
+    # i where sorted times i and i + 1 tie; consecutive ones form a run.
     # Runs are time-ordered; only tied runs before the cut need fixing,
-    # and with continuous speeds there usually are none.
-    multi = np.flatnonzero((ends - starts > 1) & (starts < total))
-    if multi.size == 0:
+    # and with continuous speeds there usually are few (a fresh run's
+    # time-0 requests).
+    tied = np.flatnonzero(t_sorted[1:] == t_sorted[:-1])
+    if tied.size == 0:
         return order[:total]
-    pos = np.empty(m, dtype=np.int64)
-    pos[order] = np.arange(m, dtype=np.int64)
-    for a, b in zip(starts[multi].tolist(), ends[multi].tolist()):
+    gaps = np.flatnonzero(np.diff(tied) != 1)
+    starts = np.append(tied[0], tied[gaps + 1])
+    ends = np.append(tied[gaps], tied[-1]) + 2
+    keep = starts < total
+    pos: Optional[np.ndarray] = None
+    for a, b in zip(starts[keep].tolist(), ends[keep].tolist()):
         ids = order[a:b]
         w = ids % p
         ordered = np.sort(w)  # not np.unique(w), which imports numpy.ma
         if (ordered[1:] == ordered[:-1]).any():
             return None
-        first_key = w if rank0 is None else rank0[w]
-        keys = np.where(ids < p, first_key - p, pos[ids - p])
+        keys = w - p if rank0 is None else rank0[w] - p
+        later = ids >= p
+        if later.any():
+            if pos is None:
+                # Pop positions, current as of the runs fixed so far.
+                pos = np.empty(order.size, dtype=np.int64)
+                pos[order] = np.arange(order.size, dtype=np.int64)
+            keys[later] = pos[ids[later] - p]
         sub = np.argsort(keys, kind="stable")
         reordered = ids[sub]
         order[a:b] = reordered
-        pos[reordered] = np.arange(a, b, dtype=np.int64)
+        if pos is not None:
+            pos[reordered] = np.arange(a, b, dtype=np.int64)
     return order[:total]
 
 
@@ -313,7 +332,12 @@ def _pop_schedule(
         times[1:] = d
         np.cumsum(times, axis=0, out=times)
         flat = times[:k0].reshape(-1)
-        order = np.argsort(flat, kind="stable")
+        # Each worker's column is sorted, so a stable sort of the
+        # worker-major copy only merges p runs.  Its ids w * k0 + k map
+        # back to k * p + w; ties are reordered by _fifo_fix either way.
+        worker, order = np.divmod(np.argsort(times[:k0].T.reshape(-1), kind="stable"), k0)
+        order *= p
+        order += worker
         fixed = _fifo_fix(flat, order, total, p, rank0)
         if fixed is None:
             return _heap_schedule(d, total, t0, rank0)
@@ -330,26 +354,53 @@ def _pop_schedule(
 
 
 def _replay_draws(
-    universe: int, idx: np.ndarray, items: Optional[List[int]] = None
+    universe: int, idx: np.ndarray, items: Optional[Sequence[int]] = None
 ) -> np.ndarray:
     """Map pre-drawn swap-remove indices to drawn values.
 
     Replays :meth:`repro.taskpool.sample_set.SampleSet.draw`'s swap-remove
-    on a full set of *universe* elements (or the explicit *items* list —
-    phase 2's frozen remainder — which is consumed in place), with the
-    per-draw uniform indices *idx* already consumed from the RNG in one
-    batched call.
+    on a full set of *universe* elements (or the explicit *items* —
+    phase 2's frozen remainder, left unchanged), with the per-draw uniform
+    indices *idx* already consumed from the RNG in one batched call.
+
+    Step ``t`` outputs what sits at position ``idx[t]``, then moves what
+    sits at the end position ``universe - 1 - t`` there.  A position holds
+    its original item until its first write, and after a write at step
+    ``u`` whatever the end position held at step ``u``.  One stable sort
+    of the writes gives each step's previous write to its position, and
+    since position ``universe - 1 - u`` is only ever written at steps up
+    to ``u``, its last write overall is the pointer for the end position;
+    pointer jumping resolves the chains.
     """
-    if items is None:
-        items = list(range(universe))
-    out = [0] * universe
-    size = universe
-    for t, pick in enumerate(idx.tolist()):
-        v = items[pick]
-        size -= 1
-        items[pick] = items[size]
-        out[t] = v
-    return np.array(out, dtype=np.int64)
+    original = np.arange(universe, dtype=np.int64) if items is None else np.asarray(items, dtype=np.int64)
+    if universe == 0:
+        return original
+    steps = np.arange(universe, dtype=np.int64)
+    # The writes in (position, step) order: a stable sort by position, as
+    # one sort of distinct keys.
+    ordered, slot = np.divmod(np.sort(idx * universe + steps), universe)
+    same = ordered[1:] == ordered[:-1]
+    # written[t]: the previous step that wrote position idx[t], or -1.
+    written = np.full(universe, -1, dtype=np.int64)
+    written[slot[1:][same]] = slot[:-1][same]
+    # last[x]: the last step that wrote position x, or -1.
+    last = np.full(universe, -1, dtype=np.int64)
+    ends = np.append(~same, True)
+    last[ordered[ends]] = slot[ends]
+    # Step u's end position universe - 1 - u was last written at step u at
+    # the latest; if that is step u itself, nothing reads what it held.
+    root = last[::-1].copy()
+    np.copyto(root, steps, where=root < 0)
+    chained = np.flatnonzero(root[root] != root)
+    while chained.size:
+        root[chained] = root[root[chained]]
+        chained = chained[root[root[chained]] != root[chained]]
+    # What each step's end position held, then each step's output.
+    moved = original[universe - 1 - root]
+    out = original[idx]
+    hit = written >= 0
+    out[hit] = moved[written[hit]]
+    return out
 
 
 class _TaskByTaskKernel(VectorKernel):
@@ -442,19 +493,21 @@ class _TaskByTaskKernel(VectorKernel):
             self.strategy_name,
             ctx.speeds[np.asarray(sub, dtype=np.int64)],
             [replay[r] for r in sub],
+            [ctx.generators[r] for r in sub],
             n,
             ctx.want_events,
         )
         for x, r in enumerate(sub):
             heap = acc.heaps[x]
-            generator = ctx.generators[r]
+            draws = bounded_draws(ctx.generators[r])
+            integers = draws.integers
             items = list(range(total)) if self._random else None
             caches = _BlockCaches(self._kernel, 1, p, n) if self._replicated is None else None
             for size in range(total, 0, -1):
                 now, _, w = heapq.heappop(heap)
                 if items is not None:
                     # SampleSet.draw's swap-remove, replayed in place.
-                    idx = int(generator.integers(size))
+                    idx = integers(size)
                     task = items[idx]
                     items[idx] = items[size - 1]
                 else:
@@ -464,6 +517,7 @@ class _TaskByTaskKernel(VectorKernel):
                     acc.commit(x, now, w, self._replicated, 1)
                 else:
                     acc.commit(x, now, w, caches.ship(0, w, task), 1)
+            draws.sync()
         return acc.finish()
 
     def _operand_keys(
@@ -552,9 +606,9 @@ def _flat_view(array: np.ndarray) -> memoryview:
     return memoryview(array.reshape(-1))
 
 
-def _swap_remove(items: memoryview, base: int, size: int, generator: np.random.Generator) -> int:
-    """``SampleSet.draw`` over ``items[base : base + size]``: same call, same swap."""
-    x = base + int(generator.integers(size))
+def _swap_remove(items: memoryview, base: int, size: int, integers: _Integers) -> int:
+    """``SampleSet.draw`` over ``items[base : base + size]``: same draw, same swap."""
+    x = base + integers(size)
     value: int = items[x]
     items[x] = items[base + size - 1]
     return value
@@ -600,6 +654,32 @@ class _BlockCaches:
         return blocks
 
 
+class _SpeedWalk(NamedTuple):
+    """A :class:`DynamicSpeedModel` replicate's speeds, stepped as Python floats.
+
+    ``speeds`` is the kernel's copy of the model's per-worker speeds,
+    ``array`` the model's own, which only sees the copy around calls of
+    the model itself.  ``low`` and ``span`` are ``uniform(-jitter,
+    jitter)``'s operands and ``random`` its generator's ``random``.
+    """
+
+    speeds: List[float]
+    array: np.ndarray
+    low: float
+    span: float
+    random: Callable[[], float]
+
+
+def _speed_walk(model: Optional[SpeedModel], generator: np.random.Generator) -> Optional[_SpeedWalk]:
+    """The walk a one-task event steps in place of ``model.duration``, if any."""
+    if type(model) is not DynamicSpeedModel:
+        return None
+    array = model._speeds
+    assert array is not None  # reset() ran
+    jitter = model.jitter
+    return _SpeedWalk(array.tolist(), array, -jitter, jitter - -jitter, generator.random)
+
+
 class _LockstepAccumulator:
     """Per-replicate event queues and accounting of the lockstep kernels.
 
@@ -612,6 +692,14 @@ class _LockstepAccumulator:
     sequence — and :meth:`finish` folds every replicate into a
     :class:`KernelRun`.  Shared by the lockstep loop and the task-by-task
     kernel's dynamic-speed path.
+
+    A one-task event on a :class:`DynamicSpeedModel` replicate skips the
+    model: ``duration(w, 1)`` is ``1 / max(s0, floor)``, and the worker's
+    next speed ``max(s0 * (1 + u), floor)`` with ``u`` the same
+    ``uniform(-jitter, jitter)`` draw, in the same float operations.  The
+    speeds live in the replicate's :class:`_SpeedWalk` and go back to the
+    model around its own calls and at :meth:`finish`, so its
+    ``current_speed`` ends where a scalar run leaves it.
     """
 
     def __init__(
@@ -619,6 +707,7 @@ class _LockstepAccumulator:
         strategy_name: str,
         speeds: np.ndarray,
         replay: Optional[Sequence[Optional[SpeedModel]]],
+        generators: Sequence[np.random.Generator],
         n: int,
         want_events: bool,
     ) -> None:
@@ -627,6 +716,7 @@ class _LockstepAccumulator:
         self.speeds = speeds
         self._speed_rows: List[List[float]] = speeds.tolist()
         self._models: List[Optional[SpeedModel]] = [None] * R if replay is None else list(replay)
+        self._walks = [_speed_walk(model, g) for model, g in zip(self._models, generators)]
         self.heaps: List[List[Tuple[float, int, int]]] = [
             [(0.0, w, w) for w in range(p)] for _ in range(R)
         ]
@@ -644,7 +734,22 @@ class _LockstepAccumulator:
     def commit(self, r: int, now: float, w: int, blocks: int, tasks: int, phase: int = 1) -> None:
         """Account replicate *r*'s assignment to *w* popped at *now*, scalar-exactly."""
         model = self._models[r]
-        duration = tasks / self._speed_rows[r][w] if model is None else model.duration(w, tasks)
+        if model is None:
+            duration = tasks / self._speed_rows[r][w]
+        else:
+            walk = self._walks[r]
+            if walk is None:
+                duration = model.duration(w, tasks)
+            elif tasks == 1:
+                speeds = walk.speeds
+                s0 = speeds[w]
+                duration = 1.0 / (s0 if s0 >= _SPEED_FLOOR else _SPEED_FLOOR)
+                speed = s0 * (1.0 + (walk.low + walk.span * walk.random()))
+                speeds[w] = speed if speed >= _SPEED_FLOOR else _SPEED_FLOOR
+            else:
+                walk.array[w] = walk.speeds[w]
+                duration = model.duration(w, tasks)
+                walk.speeds[w] = float(walk.array[w])
         finish = now + duration
         if tasks > 0:
             if finish > self._makespan[r]:
@@ -697,6 +802,9 @@ class _LockstepAccumulator:
         )
 
     def finish(self) -> List[KernelRun]:
+        for walk in self._walks:
+            if walk is not None:
+                walk.array[:] = walk.speeds
         return [
             KernelRun(
                 np.array(self._blocks[r], dtype=np.int64),
@@ -766,7 +874,7 @@ class _DynState:
         cnt = np.array([counts[lo:hi] for counts in self.cnt], dtype=np.int64)
         return self.order[lo:hi, :, : self.n].transpose(1, 0, 2) // self._scales, cnt
 
-    def draw(self, r: int, w: int, generator: np.random.Generator, pending: List[int]) -> Optional[int]:
+    def draw(self, r: int, w: int, integers: _Integers, pending: List[int]) -> Optional[int]:
         """Draw worker *w*'s new indices; return the shipped blocks.
 
         Extends *pending* by the request's marking record, or returns
@@ -802,7 +910,7 @@ class _OuterDynState(_DynState):
 
     dims = 2
 
-    def draw(self, r: int, w: int, generator: np.random.Generator, pending: List[int]) -> Optional[int]:
+    def draw(self, r: int, w: int, integers: _Integers, pending: List[int]) -> Optional[int]:
         n = self.n
         key = r * self.p + w
         cnt_i, cnt_j = self.cnt
@@ -815,11 +923,11 @@ class _OuterDynState(_DynState):
         base = r * n * n
         at = 2 * key * n
         if ci < n:
-            i = _swap_remove(self._items, at, n - ci, generator) * n
+            i = _swap_remove(self._items, at, n - ci, integers) * n
             row = base + i
             cnt_i[key] = ci + 1
         if cj < n:
-            j = _swap_remove(self._items, at + n, n - cj, generator)
+            j = _swap_remove(self._items, at + n, n - cj, integers)
             col = base + j
             cnt_j[key] = cj + 1
         pending += (key, ci, cj, i, j, row, col)
@@ -846,7 +954,7 @@ class _MatrixDynState(_DynState):
 
     dims = 3
 
-    def draw(self, r: int, w: int, generator: np.random.Generator, pending: List[int]) -> Optional[int]:
+    def draw(self, r: int, w: int, integers: _Integers, pending: List[int]) -> Optional[int]:
         n = self.n
         key = r * self.p + w
         cnt_i, cnt_j, cnt_k = self.cnt
@@ -861,15 +969,15 @@ class _MatrixDynState(_DynState):
         base = r * n**3
         at = 3 * key * n
         if ci < n:
-            i = _swap_remove(items, at, n - ci, generator) * n * n
+            i = _swap_remove(items, at, n - ci, integers) * n * n
             at_i = base + i
             cnt_i[key] = ci + 1
         if cj < n:
-            j = _swap_remove(items, at + n, n - cj, generator) * n
+            j = _swap_remove(items, at + n, n - cj, integers) * n
             at_j = base + j
             cnt_j[key] = cj + 1
         if ck < n:
-            k = _swap_remove(items, at + 2 * n, n - ck, generator)
+            k = _swap_remove(items, at + 2 * n, n - ck, integers)
             at_k = base + k
             cnt_k[key] = ck + 1
         pending += (key, ci, cj, ck, i, j, k, at_i, at_j, at_k)
@@ -1009,7 +1117,7 @@ class _LockstepKernel(VectorKernel):
             for prototype in prototypes
         ]
         name = " + ".join(dict.fromkeys(prototype.name for prototype in prototypes))
-        acc = _LockstepAccumulator(name, ctx.speeds, replay, n, ctx.want_events)
+        acc = _LockstepAccumulator(name, ctx.speeds, replay, ctx.generators, n, ctx.want_events)
         state: _DynState = _OuterDynState(R, p, n) if self._kind == "outer" else _MatrixDynState(R, p, n)
         # Members still following each replicate's phase 1, and the
         # highest threshold among them (the next possible crossing).
@@ -1023,6 +1131,8 @@ class _LockstepKernel(VectorKernel):
         draw = state.draw
         remaining = state.remaining
         generators = ctx.generators
+        draws = [bounded_draws(generator) for generator in generators]
+        integers = [d.integers for d in draws]
         heappop = heapq.heappop
         act = list(range(R))
         while act:
@@ -1039,6 +1149,8 @@ class _LockstepKernel(VectorKernel):
                         p2_items[r] = self._freeze(state, caches, r)
                     else:
                         fork = acc.fork(state, r, now, seq, w)
+                        # Phase 2 draws from the generator itself (or a copy).
+                        draws[r].sync()
                         stay = []
                         for m in following[r]:
                             if thresholds[m][r] < remaining[r]:
@@ -1048,6 +1160,7 @@ class _LockstepKernel(VectorKernel):
                             forks[m][r] = _phase2_analytic(
                                 fork, generator if M == 1 else copy.deepcopy(generator)
                             )
+                        draws[r].reload()
                         following[r] = stay
                         if not stay:
                             continue  # every member forked: the replicate leaves
@@ -1058,13 +1171,13 @@ class _LockstepKernel(VectorKernel):
                     # SampleSet.draw over the frozen remainder: the live
                     # size *is* the remaining count.
                     size = remaining[r]
-                    idx = int(generators[r].integers(size))
+                    idx = integers[r](size)
                     task = items[idx]
                     items[idx] = items[size - 1]
                     remaining[r] = size - 1
                     commit(r, now, w, caches.ship(r, w, task), 1, 2)
                     continue
-                blocks = draw(r, w, generators[r], pending)
+                blocks = draw(r, w, integers[r], pending)
                 if blocks is None:
                     commit(r, now, w, 0, state.absorb(r))
                 else:
@@ -1074,6 +1187,8 @@ class _LockstepKernel(VectorKernel):
                     remaining[r] -= tasks
                     commit(r, now, w, blocks, tasks)
             act = [r for r in act if remaining[r] > 0 and following[r]]
+        for d in draws:
+            d.sync()
         out: List[List[KernelRun]] = []
         for row in forks:
             final = acc.finish() if any(run is None for run in row) else []

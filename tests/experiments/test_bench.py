@@ -158,9 +158,13 @@ class TestDerivedRanges:
         for path in paths:
             record = _load_record(str(path))
             derived = _derive_metrics(record["workloads"])
-            assert not any(key.endswith(("_low", "_high")) for key in derived)
+            # Records written before the quartiles were kept carry no range.
+            ranged = all("q1" in entry["seconds"] for entry in record["workloads"].values())
+            assert any(key.endswith(("_low", "_high")) for key in derived) == ranged
             for row in derived.get("scaling_curve", []) + derived.get("lockstep_curve", []):
                 assert row["vectorized_speedup"] == row["serial_s"] / row["vectorized_s"]
+                if ranged:
+                    assert row["vectorized_speedup_low"] <= row["vectorized_speedup"] <= row["vectorized_speedup_high"]
             for key in ("replicate_sweep_vectorized_speedup", "twophase_beta_sweep_speedup"):
                 if key in record.get("derived", {}):
                     assert derived[key] == pytest.approx(record["derived"][key])

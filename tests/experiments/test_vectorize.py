@@ -122,10 +122,12 @@ class TestBenchScaling:
     def test_scaling_suite_records_engine_params(self):
         by_name = {wl.name: wl for wl in build_suite("scaling")}
         assert by_name["scaling_reps04_vectorized"].params["engine"] == "vectorized"
+        assert by_name["scaling_reps04_vectorized"].params["draws"] == "raw-pcg64"
         assert by_name["twophase_beta_sweep_vectorized"].params["engine"] == "vectorized"
         serial = by_name["twophase_beta_sweep_serial"].params
         assert serial["engine"] == "scalar"
         assert "vectorize_fallback" not in serial
+        assert "draws" not in serial
         lockstep = by_name["lockstep_matrix_reps05_vectorized"].params
         assert (lockstep["strategy"], lockstep["n"], lockstep["p"], lockstep["reps"]) == (
             "DynamicMatrix",

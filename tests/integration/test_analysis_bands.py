@@ -33,6 +33,8 @@ BANDS = [
     ("fig08", "dyn.20", lambda x, label: label == "dyn.20", -10.8, -8.8),
     ("fig09", "p >= 50", lambda x, label: x >= 50, -0.51, 0.90),
     ("fig09", "p = 10", lambda x, label: x == 10, 1.0, 3.0),
+    ("fig10", "p >= 50", lambda x, label: x >= 50, -0.60, 0.73),
+    ("fig10", "p = 10", lambda x, label: x == 10, 2.7, 4.7),
     ("fig11", "beta in [2.5, 6]", lambda x, label: 2.5 <= x <= 6, -0.86, 0.68),
     ("fig11", "beta = 0.5", lambda x, label: x == 0.5, -12.4, -10.4),
     ("fig11", "beta = 10", lambda x, label: x == 10, -8.1, -6.1),
@@ -67,6 +69,6 @@ def test_two_phase_tracks_analysis_within_band(figure, regime, select, lo, hi):
 
 def test_every_overlaid_paper_figure_has_bands():
     assert sorted({band[0] for band in BANDS}) == [
-        "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig11",
+        "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11",
     ]
-    assert len(gaps("fig08")) == 6 and len(gaps("fig06")) == 31
+    assert len(gaps("fig08")) == 6 and len(gaps("fig06")) == 31 and len(gaps("fig10")) == 7

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -117,9 +118,24 @@ def _run_worker(figure: str, scale: str, cache: str, outdir: str, stale: float) 
 
 
 def scenario(figure: str, scale: str, stale: float) -> int:
-    """The full kill/steal scenario; returns a process exit code."""
-    seed = 0
+    """The full kill/steal scenario; returns a process exit code.
+
+    Runs in a fresh temporary directory, which is removed when the
+    scenario passes and kept (its path printed) when it fails.
+    """
     base = tempfile.mkdtemp(prefix="repro-claims-smoke-")
+    try:
+        _scenario_in(base, figure, scale, stale)
+    except BaseException:
+        print(f"claims-smoke: failed; kept {base}", file=sys.stderr, flush=True)
+        raise
+    shutil.rmtree(base)
+    return 0
+
+
+def _scenario_in(base: str, figure: str, scale: str, stale: float) -> None:
+    """:func:`scenario`'s steps, with every store and output under *base*; raises on failure."""
+    seed = 0
     cache = os.path.join(base, "cache")
     ref_out = os.path.join(base, "ref")
     outs = [os.path.join(base, "worker-a"), os.path.join(base, "worker-b")]
@@ -205,7 +221,6 @@ def scenario(figure: str, scale: str, stale: float) -> int:
     if _computed(Journal(store).replay()) != computed:
         raise SystemExit("--resume journaled new computed records")
     print("claims-smoke: --resume skipped the figure from its journal record", flush=True)
-    return 0
 
 
 def _computed(replay: JournalReplay) -> dict:
