@@ -16,11 +16,19 @@ whose per-worker crash rate yields the target expected crash count over
 that nominal duration, and run :func:`~repro.simulator.engine.simulate` under
 it with the default reassignment policy.  Everything derives from one seed per
 repetition, so the sweep is exactly reproducible.
+
+The zero-crash level draws no schedule, and an empty schedule reduces the
+fault-aware engine to the fault-free model bit for bit (docs/FAULTS.md), so
+that level runs each strategy through
+:func:`~repro.simulator.batch.simulate_batch` on the same per-repetition
+generators instead; each generator ends every strategy where the scalar run
+would have, so the next strategy starts on the same stream.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from functools import partial
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from repro.experiments.config import FigureData, check_scale
 from repro.faults.models import FaultSchedule
 from repro.platform.platform import Platform
 from repro.platform.speeds import uniform_speeds
+from repro.simulator.batch import simulate_batch
 from repro.simulator.engine import simulate
 from repro.store.cache import ResultStore
 from repro.store.cells import summary_from_payload, summary_to_payload
@@ -101,6 +110,66 @@ def _load_churn_cell(
     return out
 
 
+def _churn_level(
+    p: int, n: int, reps: int, seed: SeedLike, expected_crashes: float
+) -> Tuple[Dict[str, Summary], Summary]:
+    """One crash level on the fault-aware scalar loop.
+
+    Returns each strategy's normalized-communication summary and the
+    observed crashes per worker.
+    """
+    per_point: Dict[str, RunningStats] = {name: RunningStats() for name in CHURN_STRATEGIES}
+    observed = RunningStats()
+    for rng in spawn_rngs(seed, reps):
+        platform = Platform(uniform_speeds(p, 10, 100, rng=rng))
+        nominal = n * n / float(platform.speeds.sum())
+        # Crashes keep firing while recovery extends the run, so draw the
+        # schedule over a generous multiple of the nominal makespan; the
+        # rate is what fixes the expected count.
+        schedule = FaultSchedule.draw(
+            p,
+            4.0 * nominal,
+            rng=rng,
+            crash_rate=expected_crashes / nominal,
+            mean_downtime=_DOWNTIME_FRACTION * nominal,
+        )
+        lb = lower_bound("outer", platform.relative_speeds, n)
+        for name in CHURN_STRATEGIES:
+            strategy = make_strategy(name, n, collect_ids=True)
+            result = simulate(strategy, platform, schedule=schedule, rng=rng)
+            per_point[name].add(result.normalized(lb))
+            if name == CHURN_STRATEGIES[0]:
+                assert result.faults is not None
+                observed.add(float(result.faults.n_crashes) / p)
+    return {name: per_point[name].summary() for name in CHURN_STRATEGIES}, observed.summary()
+
+
+def _fault_free_level(
+    p: int, n: int, reps: int, seed: SeedLike
+) -> Tuple[Dict[str, Summary], Summary]:
+    """The zero-crash level on the replicate path (see the module docstring).
+
+    Same outputs as the scalar loop of :func:`_churn_level` run under
+    ``FaultSchedule.empty()``: every replicate draws its platform first,
+    then runs the strategies in :data:`CHURN_STRATEGIES` order on its own
+    generator, and observes no crash.
+    """
+    rngs = spawn_rngs(seed, reps)
+    platforms = [Platform(uniform_speeds(p, 10, 100, rng=rng)) for rng in rngs]
+    bounds = [lower_bound("outer", platform.relative_speeds, n) for platform in platforms]
+    summaries: Dict[str, Summary] = {}
+    for name in CHURN_STRATEGIES:
+        stats = RunningStats()
+        results = simulate_batch(partial(make_strategy, name, n), platforms, rngs=rngs)
+        for result, lb in zip(results, bounds):
+            stats.add(result.normalized(lb))
+        summaries[name] = stats.summary()
+    observed = RunningStats()
+    for _ in rngs:
+        observed.add(0.0)
+    return summaries, observed.summary()
+
+
 def flt01(
     scale: str = "ci",
     seed: SeedLike = 0,
@@ -150,36 +219,12 @@ def flt01(
                     obs = cell["crashes_observed"]
                     crash_stats.add(expected_crashes, obs.mean, obs.std)
                     continue
-        per_point: Dict[str, RunningStats] = {name: RunningStats() for name in CHURN_STRATEGIES}
-        observed = RunningStats()
-        for rng in spawn_rngs(seed, reps):
-            platform = Platform(uniform_speeds(p, 10, 100, rng=rng))
-            nominal = n * n / float(platform.speeds.sum())
-            if expected_crashes > 0.0:
-                # Crashes keep firing while recovery extends the run, so
-                # draw the schedule over a generous multiple of the nominal
-                # makespan; the rate is what fixes the expected count.
-                schedule = FaultSchedule.draw(
-                    p,
-                    4.0 * nominal,
-                    rng=rng,
-                    crash_rate=expected_crashes / nominal,
-                    mean_downtime=_DOWNTIME_FRACTION * nominal,
-                )
-            else:
-                schedule = FaultSchedule.empty()
-            lb = lower_bound("outer", platform.relative_speeds, n)
-            for name in CHURN_STRATEGIES:
-                strategy = make_strategy(name, n, collect_ids=True)
-                result = simulate(strategy, platform, schedule=schedule, rng=rng)
-                per_point[name].add(result.normalized(lb))
-                if name == CHURN_STRATEGIES[0]:
-                    assert result.faults is not None
-                    observed.add(float(result.faults.n_crashes) / p)
-        summaries = {name: per_point[name].summary() for name in CHURN_STRATEGIES}
+        if expected_crashes > 0.0:
+            summaries, obs = _churn_level(p, n, reps, seed, expected_crashes)
+        else:
+            summaries, obs = _fault_free_level(p, n, reps, seed)
         for name in CHURN_STRATEGIES:
             fig[name].add(expected_crashes, summaries[name].mean, summaries[name].std)
-        obs = observed.summary()
         crash_stats.add(expected_crashes, obs.mean, obs.std)
         if cache is not None and key is not None:
             cache.put(

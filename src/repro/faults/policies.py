@@ -79,8 +79,8 @@ class RecoveryPolicy:
 
         Called only when the pool has allocated everything but completions
         are still outstanding.  *inflight* maps each worker to its in-flight
-        task ids (``None`` when idle), *completed* is the first-completion
-        bitmap over flat task ids.
+        task ids (``None`` when idle), *completed* is a boolean view of the
+        first-completion flags over flat task ids.
         """
         return None
 

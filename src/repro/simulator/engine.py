@@ -32,9 +32,11 @@ run without a schedule never enters.
 
 Correctness contract of the fault path (verified by ``tests/faults``):
 
-* **exactly-once completion** — a first-completion bitmap guarantees every
-  task of the kernel is counted complete exactly once; re-executions and
-  replica finishes are tallied separately in
+* **exactly-once completion** — one first-completion byte per flat task id
+  (a ``bytearray`` the loop sets and tests in plain Python, read by the
+  crash, timeout and replication paths through a zero-copy boolean view)
+  guarantees every task of the kernel is counted complete exactly once;
+  re-executions and replica finishes are tallied separately in
   :class:`~repro.simulator.results.FaultStats`;
 * **fault-free reduction** — an empty schedule with the default policy
   performs the same pops, strategy calls and RNG draws as a run without a
@@ -176,8 +178,8 @@ def simulate(
 
     The strategy must be built with ``collect_ids=True`` whenever the
     schedule is non-empty or the policy needs per-task tracking
-    (heartbeats, replication): completions are deduplicated through a
-    first-completion bitmap over flat task ids.
+    (heartbeats, replication): completions are deduplicated through one
+    first-completion byte per flat task id.
 
     Returns
     -------
@@ -272,8 +274,13 @@ def simulate(
     cache_base = [0] * p
     inflight_ids: List[Optional[np.ndarray]] = [None] * p
     inflight_blocks = [0] * p
-    completed = np.zeros(total if track else 0, dtype=bool)
+    # First completions: the loop sets and tests single bytes in plain
+    # Python; the crash, timeout and replication paths read the same bytes
+    # through a zero-copy boolean view.
+    flags = bytearray(total if track else 0)
+    completed = np.frombuffer(flags, dtype=np.bool_)
     completed_count = 0
+    duplicates = 0
     completed_makespan = 0.0
     lost_tasks = 0
     counts = dict.fromkeys((f.name for f in fields(FaultStats)), 0)
@@ -376,14 +383,17 @@ def simulate(
             if done_ids is not None:
                 epoch[worker] += 1  # retire any pending heartbeat deadline
                 inflight_ids[worker] = None
-                if done_ids.size:
-                    firsts = int(np.count_nonzero(~completed[done_ids]))
-                    counts["duplicate_completions"] += int(done_ids.size) - firsts
-                    if firsts:
-                        completed[done_ids] = True
-                        completed_count += firsts
-                        if now > completed_makespan:
-                            completed_makespan = now
+                firsts = 0
+                finished = done_ids.tolist()
+                for task in finished:
+                    if not flags[task]:
+                        flags[task] = 1
+                        firsts += 1
+                duplicates += len(finished) - firsts
+                if firsts:
+                    completed_count += firsts
+                    if now > completed_makespan:
+                        completed_makespan = now
             if strategy.done:
                 replicas = (
                     recovery.tail_replicas(worker, now, inflight_ids, completed, completed_count)
@@ -495,6 +505,7 @@ def simulate(
     if schedule is not None:
         if track:
             makespan = completed_makespan
+        counts["duplicate_completions"] = duplicates
         allocated = sum(tasks) - counts["replicated_tasks"] + lost_tasks
         counts["reexecuted_tasks"] = max(0, allocated - total)
         faults = FaultStats(**counts)

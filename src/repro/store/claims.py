@@ -468,7 +468,9 @@ def drain_units(
 
     Each pass visits every unit with members still pending.  A member
     already in the store is done (counted ``cached``); every other member
-    is claimed through *claims*, one fingerprint at a time.  The members
+    is claimed through *claims*, one fingerprint at a time, and a won
+    member found stored after all (a peer finished it between the probe
+    and the claim) is released and counted ``cached`` too.  The members
     this process won are computed in one *compute* call (heartbeating
     throughout, journaling ``claimed → computed → flushed`` per cell when
     a *journal* is given) and released; members held by another owner are
@@ -493,13 +495,18 @@ def drain_units(
             held: List[str] = []
             try:
                 for fp in members:
-                    if store.has_fingerprint(fp):
-                        stats.cached += 1
-                        progressed = True
-                    elif claims.try_claim(fp):
-                        won.append(fp)
-                    else:
-                        held.append(fp)
+                    if not store.has_fingerprint(fp):
+                        if not claims.try_claim(fp):
+                            held.append(fp)
+                            continue
+                        # A peer may have stored the cell and released its
+                        # claim between the probe and the claim.
+                        if not store.has_fingerprint(fp):
+                            won.append(fp)
+                            continue
+                        claims.release(fp)
+                    stats.cached += 1
+                    progressed = True
                 if won:
                     if journal is not None:
                         journal.append_many("claimed", won, job=unit.job, owner=claims.owner)

@@ -1,10 +1,8 @@
 """Small shared array helpers for the task-pool bulk-marking primitives.
 
-Both :class:`~repro.taskpool.outer_pool.OuterTaskPool` and
-:class:`~repro.taskpool.matrix_pool.MatrixTaskPool` repeatedly need a
-one-element ``int64`` array to feed a single new index into their
-fancy-indexed marking slabs; keeping the constructor here avoids each pool
-re-defining a local lambda for it.  Both pools and
+:class:`~repro.taskpool.matrix_pool.MatrixTaskPool` repeatedly needs a
+one-element ``int64`` array to feed a single new index into its
+fancy-indexed marking slabs (:func:`single_index_array`).  Both pools and
 :class:`~repro.taskpool.sample_set.SampleSet` deduplicate ids through
 :func:`sorted_distinct`.
 """

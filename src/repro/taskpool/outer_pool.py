@@ -15,11 +15,11 @@ what makes the n = 1000 sweeps of Figure 5 cheap in pure NumPy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.taskpool._arrays import single_index_array, sorted_distinct
+from repro.taskpool._arrays import sorted_distinct
 from repro.utils.validation import check_positive_int
 
 __all__ = ["OuterTaskPool"]
@@ -41,11 +41,14 @@ class OuterTaskPool:
         schedules numerically.  Off by default to keep simulations lean.
     """
 
-    __slots__ = ("_n", "_processed", "_remaining", "collect_ids")
+    __slots__ = ("_n", "_flat", "_processed", "_remaining", "collect_ids")
 
     def __init__(self, n: int, *, collect_ids: bool = False) -> None:
         self._n = check_positive_int("n", n)
-        self._processed = np.zeros((self._n, self._n), dtype=bool)
+        # One bitmap, two views: flat ids index ``_flat``, (i, j) pairs
+        # index ``_processed``.
+        self._flat = np.zeros(self._n * self._n, dtype=bool)
+        self._processed = self._flat.reshape(self._n, self._n)
         self._remaining = self._n * self._n
         self.collect_ids = bool(collect_ids)
 
@@ -84,7 +87,7 @@ class OuterTaskPool:
         Used once, at the phase switch of DynamicOuter2Phases, to seed the
         phase-2 uniform sampler.
         """
-        return np.flatnonzero(~self._processed.ravel())
+        return np.flatnonzero(~self._flat)
 
     # -- mutation --------------------------------------------------------
 
@@ -136,38 +139,37 @@ class OuterTaskPool:
         rows: np.ndarray,
         cols: np.ndarray,
     ) -> Tuple[int, Optional[np.ndarray]]:
-        """Hot-path marking: the :meth:`mark_cross` precondition must hold."""
+        """Hot-path marking: the :meth:`mark_cross` precondition must hold.
+
+        The cross is laid out as flat ids — the centre ``i * n + j``, the
+        row arm ``i * n + J`` in *cols* order, the column arm ``I * n + j``
+        in *rows* order — so one gather and one scatter mark it.  Under the
+        precondition the three parts are disjoint, and the unprocessed ids
+        come out in that order (phase 2 of the two-phase strategy re-adds
+        released ids in it).
+        """
         n = self._n
-        proc = self._processed
-        count = 0
-        ids: Optional[List[np.ndarray]] = [] if self.collect_ids else None
-
-        if i is not None and j is not None and not proc[i, j]:
-            proc[i, j] = True
-            count += 1
-            if ids is not None:
-                ids.append(single_index_array(i * n + j))
-
-        if i is not None and cols.size:
-            hit = cols[~proc[i, cols]]
-            if hit.size:
-                proc[i, hit] = True
-                count += hit.size
-                if ids is not None:
-                    ids.append(i * n + hit.astype(np.int64))
-
-        if j is not None and rows.size:
-            hit = rows[~proc[rows, j]]
-            if hit.size:
-                proc[hit, j] = True
-                count += hit.size
-                if ids is not None:
-                    ids.append(hit.astype(np.int64) * n + j)
-
-        self._remaining -= count
-        if ids is None:
-            return count, None
-        return count, (np.concatenate(ids) if ids else np.empty(0, dtype=np.int64))
+        n_row = cols.size if i is not None else 0
+        n_col = rows.size if j is not None else 0
+        at = int(i is not None and j is not None)
+        cross = np.empty(at + n_row + n_col, dtype=np.int64)
+        if i is not None:
+            base = i * n
+            if j is not None:
+                cross[0] = base + j
+            if n_row:
+                np.add(cols, base, out=cross[at : at + n_row])
+        if j is not None and n_col:
+            arm = cross[at + n_row :]
+            np.multiply(rows, n, out=arm)
+            arm += j
+        flat = self._flat
+        fresh = cross[~flat[cross]]
+        count = fresh.size
+        if count:
+            flat[fresh] = True
+            self._remaining -= count
+        return count, (fresh if self.collect_ids else None)
 
     def mark_all(self) -> Tuple[int, Optional[np.ndarray]]:
         """Mark every remaining task processed (worker knows everything).
@@ -177,7 +179,7 @@ class OuterTaskPool:
         """
         ids = self.unprocessed_ids() if self.collect_ids else None
         count = self._remaining
-        self._processed[:] = True
+        self._flat[:] = True
         self._remaining = 0
         return count, ids
 
@@ -190,16 +192,15 @@ class OuterTaskPool:
         skipped, so the call is idempotent.  Returns the number of tasks
         actually released.
         """
-        flat = sorted_distinct(np.asarray(flat_ids, dtype=np.int64))
-        if flat.size == 0:
+        ids = sorted_distinct(np.asarray(flat_ids, dtype=np.int64))
+        if ids.size == 0:
             return 0
-        if flat[0] < 0 or flat[-1] >= self._n * self._n:
+        if ids[0] < 0 or ids[-1] >= self._n * self._n:
             raise ValueError(f"task ids must lie in [0, {self._n * self._n})")
-        i, j = np.divmod(flat, self._n)
-        held = self._processed[i, j]
-        count = int(np.count_nonzero(held))
+        held = ids[self._flat[ids]]
+        count = held.size
         if count:
-            self._processed[i[held], j[held]] = False
+            self._flat[held] = False
             self._remaining += count
         return count
 

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.platform import Platform, uniform_speeds
+
+# Property tests draw the same examples on every run and save no failing
+# example to replay later, so a run's result depends on the code alone.
+# ``HYPOTHESIS_PROFILE=explore`` searches at random (with the example
+# database) instead.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repeatable"))
 
 
 @pytest.fixture

@@ -4,9 +4,22 @@ import json
 
 import pytest
 
+from repro.core.analysis.lower_bounds import lower_bound
+from repro.core.strategies.registry import make_strategy
 from repro.experiments.cli import build_parser, main
-from repro.experiments.faults import CHURN_STRATEGIES, churn_summary, flt01
+from repro.experiments.faults import (
+    CHURN_STRATEGIES,
+    _fault_free_level,
+    churn_summary,
+    flt01,
+)
 from repro.experiments.figures import FIGURES, generate
+from repro.faults.models import FaultSchedule
+from repro.platform.platform import Platform
+from repro.platform.speeds import uniform_speeds
+from repro.simulator.engine import simulate
+from repro.utils.rng import spawn_rngs
+from repro.utils.stats import RunningStats
 
 
 class TestFlt01:
@@ -45,6 +58,42 @@ class TestFlt01:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             flt01(scale="huge")
+
+
+def _scalar_zero_crash_level(p, n, reps, seed):
+    """flt01's zero-crash level on the fault-aware scalar loop, one run at a time."""
+    per_point = {name: RunningStats() for name in CHURN_STRATEGIES}
+    observed = RunningStats()
+    for rng in spawn_rngs(seed, reps):
+        platform = Platform(uniform_speeds(p, 10, 100, rng=rng))
+        lb = lower_bound("outer", platform.relative_speeds, n)
+        for name in CHURN_STRATEGIES:
+            strategy = make_strategy(name, n, collect_ids=True)
+            result = simulate(strategy, platform, schedule=FaultSchedule.empty(), rng=rng)
+            per_point[name].add(result.normalized(lb))
+            if name == CHURN_STRATEGIES[0]:
+                observed.add(float(result.faults.n_crashes) / p)
+    return {name: per_point[name].summary() for name in CHURN_STRATEGIES}, observed.summary()
+
+
+class TestZeroCrashLevel:
+    """The zero-crash level on ``simulate_batch`` equals the scalar loop bit for bit."""
+
+    @pytest.mark.parametrize("scale, n, reps", [("ci", 16, 2), ("medium", 60, 5)])
+    @pytest.mark.parametrize("seed", [0, 2014])
+    def test_matches_scalar_loop(self, scale, n, reps, seed):
+        expected, expected_obs = _scalar_zero_crash_level(20, n, reps, seed)
+        summaries, obs = _fault_free_level(20, n, reps, seed)
+        assert summaries == expected
+        assert obs == expected_obs
+        assert (obs.mean, obs.std) == (0.0, 0.0)
+        if scale == "ci":
+            fig = flt01(scale=scale, seed=seed)
+            for name in CHURN_STRATEGIES:
+                assert (fig[name].mean[0], fig[name].std[0]) == (
+                    expected[name].mean,
+                    expected[name].std,
+                )
 
 
 class TestChurnSummary:

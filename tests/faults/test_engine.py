@@ -1,8 +1,11 @@
 """Tests for fault-aware runs of the simulation engine (``schedule=``)."""
 
+import collections
+
 import numpy as np
 import pytest
 
+from repro.core.strategies.base import Assignment, Strategy
 from repro.core.strategies.registry import make_strategy, strategy_names
 from repro.faults import FaultSchedule, HeartbeatTimeout, ReplicateTail
 from repro.faults.models import AssignmentLoss, Slowdown, WorkerCrash
@@ -277,3 +280,94 @@ class TestDeterminism:
             )
             assert result.faults is not None
             assert result.faults.n_restarts <= result.faults.n_crashes
+
+
+class _InOrder(Strategy):
+    """One task per request, in id order; released tasks go out first."""
+
+    name = "InOrder"
+    kernel = "outer"
+
+    def _setup(self):
+        self._queue = collections.deque(range(self.total_tasks))
+
+    @property
+    def total_tasks(self):
+        return self.n * self.n
+
+    @property
+    def done(self):
+        return not self._queue
+
+    def assign(self, worker, now):
+        return Assignment(2, 1, 1, np.array([self._queue.popleft()], dtype=np.int64))
+
+    def release_tasks(self, task_ids):
+        self._queue.extendleft(reversed(task_ids.tolist()))
+
+    def forget_worker(self, worker):
+        pass
+
+
+def _counting(policy_type):
+    """*policy_type* recording ``(now, n_completed, set flags)`` at every tail call."""
+
+    class Counting(policy_type):
+        def reset(self, strategy, platform):
+            super().reset(strategy, platform)
+            self.seen = []
+
+        def tail_replicas(self, worker, now, inflight, completed, n_completed):
+            self.seen.append((now, n_completed, int(np.count_nonzero(completed))))
+            return super().tail_replicas(worker, now, inflight, completed, n_completed)
+
+    return Counting
+
+
+class TestCompletionTracking:
+    """One-task assignments finishing twice: one first completion, one duplicate."""
+
+    def test_one_task_replica_completes_twice(self):
+        # Task 3 starts on worker 0 at t=1; at t=2 worker 1 replicates it,
+        # worker 0 completes it first, and the replica finishes it again at
+        # t=3 while task 2 (replicated by worker 0) is still outstanding.
+        platform = Platform([1.0, 1.0, 1.0])
+        slowdowns = (Slowdown(1, 0.0, 0.5, 2.0), Slowdown(2, 0.0, 0.5, 10.0))
+        policy = _counting(ReplicateTail)(beta=float(np.log(2.0)))
+        result = simulate(
+            _InOrder(2, collect_ids=True),
+            platform,
+            schedule=FaultSchedule(slowdowns=slowdowns),
+            policy=policy,
+            rng=0,
+        )
+        stats = result.faults
+        assert stats is not None
+        assert policy.threshold == 2
+        assert stats.replicated_tasks == 2
+        assert stats.duplicate_completions == 1
+        assert policy.seen == [(2.0, 2, 2), (2.0, 3, 3), (3.0, 3, 3)]
+        assert result.makespan == 3.0  # task 2's replica, the last first completion
+
+    def test_timed_out_one_task_assignment_completes_twice(self):
+        # Task 1 straggles on worker 1 (due at t=3, deadline t=2); the
+        # timeout releases it, worker 0 re-executes it, and both copies
+        # finish at t=3, the straggler's first.
+        platform = Platform([1.0, 1.0])
+        policy = _counting(HeartbeatTimeout)(k=2.0, backoff=1.0)
+        result = simulate(
+            _InOrder(3, collect_ids=True),
+            platform,
+            schedule=FaultSchedule(slowdowns=(Slowdown(1, 0.0, 0.5, 3.0),)),
+            policy=policy,
+            rng=0,
+        )
+        stats = result.faults
+        assert stats is not None
+        assert (stats.n_timeouts, stats.released_tasks) == (1, 1)
+        assert stats.duplicate_completions == 1
+        assert stats.reexecuted_tasks == 1
+        assert int(result.per_worker_tasks.sum()) == 9 + 1
+        # The last two tasks go out at t=5; the first to finish, at t=6,
+        # finds eight tasks completed once each.
+        assert policy.seen == [(6.0, 8, 8)]

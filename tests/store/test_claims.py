@@ -319,3 +319,33 @@ class TestDrainCells:
         store, a, _, _ = make_pair(tmp_path)
         with pytest.raises(ValueError, match="poll_interval"):
             drain_cells(store, {}, lambda k: None, claims=a, poll_interval=0)
+
+    def test_cell_stored_between_probe_and_claim_counts_cached(self, tmp_path):
+        store, a, peer, _ = make_pair(tmp_path)
+        cells = self.keys(3)
+        raced = list(cells)[1]
+        assert peer.try_claim(raced)
+
+        class PeerFinishesFirst(ClaimRegistry):
+            """Lets the peer store *raced* and release it inside the claim."""
+
+            def try_claim(self, fp):
+                if fp == raced:
+                    _put_cell(store, cells[fp])
+                    peer.release(fp)
+                return super().try_claim(fp)
+
+        drainer = PeerFinishesFirst(store, owner=a.owner + "-drainer")
+        journal = Journal(store)
+        computed = []
+
+        def compute(key):
+            computed.append(fingerprint(key))
+            _put_cell(store, key)
+
+        stats = drain_cells(store, cells, compute, claims=drainer, journal=journal)
+        assert (stats.computed, stats.cached) == (2, 1)
+        assert raced not in computed
+        assert drainer.active() == []  # the claim on the raced cell was released
+        journaled = [r.cell for r in journal.replay().records if r.state == "computed"]
+        assert sorted(journaled) == sorted(fp for fp in cells if fp != raced)

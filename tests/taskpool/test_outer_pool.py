@@ -150,3 +150,68 @@ class TestPropertyExactlyOnce:
             total_counted += count
             assert pool.remaining == pool.total - total_counted
         assert np.count_nonzero(pool.processed_view()) == total_counted
+
+
+def _reference_cross(processed, i, j, rows, cols):
+    """Plain-Python cross marking: centre, row arm in *cols* order, column arm in *rows* order."""
+    n = len(processed)
+    cells = []
+    if i is not None and j is not None:
+        cells.append((i, j))
+    if i is not None:
+        cells.extend((i, int(c)) for c in cols)
+    if j is not None:
+        cells.extend((int(r), j) for r in rows)
+    ids = []
+    for r, c in cells:
+        if not processed[r][c]:
+            processed[r][c] = True
+            ids.append(r * n + c)
+    return ids
+
+
+class TestMarkCrossReference:
+    """``_mark_cross`` against the plain-Python walk, call after call."""
+
+    @pytest.mark.parametrize("collect_ids", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_crosses_match(self, seed, collect_ids):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        pool = OuterTaskPool(n, collect_ids=collect_ids)
+        processed = [[False] * n for _ in range(n)]
+        for _ in range(3 * n):
+            i = int(rng.integers(n))
+            j = int(rng.integers(n))
+            rows = rng.permutation(np.delete(np.arange(n), i))[: rng.integers(n)]
+            cols = rng.permutation(np.delete(np.arange(n), j))[: rng.integers(n)]
+            i_arg = None if rng.random() < 0.2 else i
+            j_arg = None if rng.random() < 0.2 else j
+            expected = _reference_cross(processed, i_arg, j_arg, rows, cols)
+            count, ids = pool._mark_cross(i_arg, j_arg, rows, cols)
+            assert count == len(expected)
+            if collect_ids:
+                assert ids is not None and ids.dtype == np.int64
+                assert ids.tolist() == expected  # order included
+            else:
+                assert ids is None
+            assert pool.processed_view().tolist() == processed
+            assert pool.remaining == n * n - sum(map(sum, processed))
+
+    @pytest.mark.parametrize(
+        "i, j, rows, cols, expected",
+        [
+            (1, 2, [3, 0], [0, 3], [6, 4, 7, 14, 2]),
+            (1, None, [3, 0], [0, 3], [4, 7]),
+            (None, 2, [3, 0], [0, 3], [14, 2]),
+            (None, None, [3, 0], [0, 3], []),
+            (1, 2, [], [], [6]),
+        ],
+    )
+    def test_id_order(self, i, j, rows, cols, expected):
+        pool = OuterTaskPool(4, collect_ids=True)
+        count, ids = pool._mark_cross(
+            i, j, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        )
+        assert count == len(expected)
+        assert ids is not None and ids.tolist() == expected
