@@ -37,6 +37,8 @@ from repro.core.analysis.outer import (
     outer_total_ratio,
 )
 from repro.core.analysis.random_baseline import (
+    exact_random_matrix_volume,
+    exact_random_outer_volume,
     expected_random_matrix_volume,
     expected_random_outer_volume,
 )
@@ -62,4 +64,6 @@ __all__ = [
     "beta_deviation",
     "expected_random_outer_volume",
     "expected_random_matrix_volume",
+    "exact_random_outer_volume",
+    "exact_random_matrix_volume",
 ]

@@ -455,8 +455,10 @@ def run_suite(
     Each workload runs ``repeats`` times on the same seed (the work is
     deterministic per seed, so spread across repeats is timing noise); the
     record keeps the median, its quartiles ``q1``/``q3``, the min and the
-    mean.  ``echo`` receives a progress
-    line per workload when given.
+    mean.  The repeats run round-robin — every workload once per round —
+    so each workload's quartiles span the whole run rather than one phase
+    of a busy host.  ``echo`` receives a progress line per round and one
+    per workload when given.
 
     With ``profile=True`` every workload additionally runs with an enabled
     :class:`~repro.obs.profile.StageProfiler`; the record then carries a
@@ -465,14 +467,18 @@ def run_suite(
     """
     repeats = check_positive_int("repeats", repeats)
     workloads = build_suite(suite)
+    timings: Dict[str, List[float]] = {wl.name: [] for wl in workloads}
+    profilers = {wl.name: StageProfiler(enabled=profile) for wl in workloads}
+    for round_ in range(repeats):
+        if echo is not None:
+            echo(f"  round {round_ + 1}/{repeats}")
+        for wl in workloads:
+            start = wall_time()
+            wl.fn(seed, profilers[wl.name])
+            timings[wl.name].append(wall_time() - start)
     entries: Dict[str, Any] = {}
     for wl in workloads:
-        times: List[float] = []
-        prof = StageProfiler(enabled=profile)
-        for _ in range(repeats):
-            start = wall_time()
-            wl.fn(seed, prof)
-            times.append(wall_time() - start)
+        times = timings[wl.name]
         q1, q3 = _quartiles(times)
         entry: Dict[str, Any] = {
             "params": dict(wl.params),
@@ -486,7 +492,7 @@ def run_suite(
             },
         }
         if profile:
-            entry["profile"] = prof.to_dict()
+            entry["profile"] = profilers[wl.name].to_dict()
         entries[wl.name] = entry
         if echo is not None:
             echo(f"  {wl.name:34s} median {statistics.median(times):8.4f}s")
@@ -516,9 +522,13 @@ def compare_results(
     """Per-workload comparison rows between two bench records.
 
     Each row has ``name``, ``status`` (``"regression"`` / ``"improved"`` /
-    ``"ok"`` / ``"new"`` / ``"removed"``) and, where both medians exist,
-    ``ratio`` (new over old).  A median more than ``threshold`` above the
-    old one is a regression.
+    ``"within spread"`` / ``"ok"`` / ``"new"`` / ``"removed"``) and, where
+    both medians exist, ``ratio`` (new over old).  A median more than
+    ``threshold`` above the old one is a regression, and more than
+    ``threshold`` below it an improvement — unless both records carry
+    quartiles and the two ``[q1, q3]`` ranges overlap: the medians then
+    moved no further than the spread of either run, which reads ``within
+    spread``, as :func:`_speedup_line` does for the derived ratios.
     """
     if not 0 < threshold:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -533,12 +543,12 @@ def compare_results(
         old_med = float(base["seconds"]["median"])
         new_med = float(entry["seconds"]["median"])
         ratio = new_med / old_med if old_med > 0 else float("inf")
-        if ratio > 1.0 + threshold:
-            status = "regression"
-        elif ratio < 1.0 - threshold:
-            status = "improved"
-        else:
+        if 1.0 - threshold <= ratio <= 1.0 + threshold:
             status = "ok"
+        elif _ranges_overlap(base["seconds"], entry["seconds"]):
+            status = "within spread"
+        else:
+            status = "regression" if ratio > 1.0 else "improved"
         rows.append(
             {
                 "name": name,
@@ -552,6 +562,13 @@ def compare_results(
         if name not in new_wl:
             rows.append({"name": name, "status": "removed"})
     return rows
+
+
+def _ranges_overlap(old: Dict[str, Any], new: Dict[str, Any]) -> bool:
+    """True when both timings carry quartiles and their ``[q1, q3]`` ranges meet."""
+    if not all("q1" in seconds and "q3" in seconds for seconds in (old, new)):
+        return False
+    return float(new["q1"]) <= float(old["q3"]) and float(old["q1"]) <= float(new["q3"])
 
 
 #: Derived speed-ups ``compare`` prints for both records: (label, key).

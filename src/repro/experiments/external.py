@@ -7,8 +7,8 @@ run figures through this module; there is no master process, the store
 1. **Plan** — :func:`plan_figures` runs every requested figure generator
    under :func:`~repro.experiments.runner.collect_planned_cells`, which
    records the deterministic grid of work units instead of computing
-   it: each shared phase-1 group of a figure point is one unit, every
-   other replicate cell a unit of its own.  Every worker derives the
+   it: a figure point's vector-kernel cells of one product are one unit,
+   every other replicate cell a unit of its own.  Every worker derives the
    identical plan from (figures, scale, seed).  A figure whose planning
    pass recorded no cell (ext01, ext02, ext03, flt01 and sec36 do not go
    through the replicate runner) already computed its real output, and

@@ -68,8 +68,8 @@ class PlannedCell:
 
 
 #: A unit of planned work: the cells one
-#: :func:`average_normalized_comm_group` call computes together (a shared
-#: phase-1 group), or a single cell.
+#: :func:`average_normalized_comm_group` call computes together (a figure
+#: point's vector-kernel cells), or a single cell.
 PlannedUnit = Tuple[PlannedCell, ...]
 
 #: When set, :func:`average_normalized_comm` records cells instead of
@@ -90,9 +90,9 @@ def collect_planned_cells() -> Iterator[List[PlannedUnit]]:
     """Record the replicate cells a figure *would* compute, without computing.
 
     Inside the context every :func:`average_normalized_comm` call appends
-    a one-cell :data:`PlannedUnit` to the yielded list, and every shared
-    phase-1 group of :func:`average_normalized_comm_group` appends one
-    unit holding all its members; both return placeholder summaries.
+    a one-cell :data:`PlannedUnit` to the yielded list, and every group of
+    :func:`average_normalized_comm_group` appends one unit holding all its
+    members; both return placeholder summaries.
     Running a figure generator under this context is the planning pass of
     the claims transport (:mod:`repro.experiments.external`): because the
     generators are deterministic in (figure, scale, seed), every worker
@@ -269,13 +269,14 @@ def average_normalized_comm_group(
     """One figure point: ``[average_normalized_comm(f, ...) for f in strategy_factories]``.
 
     Returns exactly what that loop returns, with the same cache keys and
-    one store probe per cell, but computes the missing Dynamic-family
-    cells — the cells whose strategies share a
-    :func:`repro.simulator.batch.sweep_group_key` (a Dynamic* cell and
-    the Dynamic*2Phases cells of the same kernel and ``n``) — in one
-    phase-1 lockstep (:func:`repro.simulator.batch.simulate_sweep`).
-    Every computed cell is stored under its own key once the group
-    finishes.  Cells outside a group go through
+    one store probe per cell, but computes the point's missing
+    vector-kernel cells — the cells whose strategies share a
+    :func:`repro.simulator.batch.sweep_group_key`: every Random*,
+    Sorted*, MapReduce*, Dynamic* and Dynamic*2Phases cell of one kernel
+    and ``n`` — in one :func:`repro.simulator.batch.simulate_sweep` call,
+    which draws the platforms once and shares their pop schedules and
+    phase-1 lockstep.  Every computed cell is stored under its own key
+    once the group finishes.  Cells outside a group go through
     :func:`average_normalized_comm` as they are, in order.
 
     The whole point falls back to that per-cell loop with a *sink* or a
@@ -382,7 +383,7 @@ def _sweep_summaries(
     reps: int,
     seed: SeedLike,
 ) -> Optional[List[Summary]]:
-    """Summaries of one group's cells from a shared phase-1 lockstep.
+    """Summaries of one group's cells from one :func:`simulate_sweep` call.
 
     Each replicate stream draws its platform first, then simulates — the
     order :func:`_batch_outcomes` uses — so every summary is bit-identical

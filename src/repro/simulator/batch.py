@@ -12,7 +12,7 @@ replicate transparently falls back to the scalar engine.
 fast path (``None`` when it can), and sweep runners record it so a
 silent scalar fallback is visible in bench/report output.
 
-Dynamic speed models no longer force the fallback: kernels replay
+Dynamic speed models no longer force the fallback: the kernel replays
 ``model.duration`` per event on the replicate's own stream (see
 :meth:`~repro.simulator.vector_kernels._LockstepAccumulator.commit`), so ``dyn.*``
 heterogeneity sweeps vectorize too.  Only strategy subclasses without a
@@ -26,12 +26,15 @@ per-replicate working-set estimate and :func:`simulate_batch` runs
 results — replicates never interact, so slicing the batch is exact, not
 approximate.
 
-:func:`simulate_sweep` runs several Dynamic-family cells over the same
-replicates in one phase-1 lockstep: a DynamicOuter (DynamicMatrix) cell
-and any number of DynamicOuter2Phases (DynamicMatrix2Phases) cells share
-phase 1 by construction, so the loop runs once and every two-phase member
-forks its closed-form phase 2 at its own threshold.  Each member's
-results equal its own :func:`simulate_batch` bit for bit.
+:func:`simulate_sweep` runs several cells of one product over the same
+replicates in one call — typically every vector-kernel cell of a figure
+point.  Every strategy of a product is a member of one lockstep loop
+that leaves it at its own fork: Dynamic* never, Dynamic*2Phases at its
+threshold, Random*, Sorted* and MapReduce* at their first pop.  So the
+Dynamic* phase 1 runs once, every two-phase member forks its closed-form
+phase 2 off it, and the members without a phase 1 share one pop schedule
+per replicate.  Each member's results equal its own
+:func:`simulate_batch` bit for bit.
 
 The scalar engine stays the oracle: nothing here changes simulation
 semantics, RNG consumption or float operand order, which is what keeps
@@ -132,12 +135,13 @@ def fallback_reason(
 
 
 def sweep_group_key(strategy: Strategy) -> Optional[Tuple[str, int]]:
-    """The shared phase-1 group *strategy* can join in :func:`simulate_sweep`.
+    """The group *strategy* can join in :func:`simulate_sweep`.
 
-    ``(kernel, n)`` for exact-type DynamicOuter, DynamicOuter2Phases,
-    DynamicMatrix and DynamicMatrix2Phases instances (without per-task id
-    collection); strategies with equal keys can share one sweep.  ``None``
-    for everything else, which only runs cell by cell.
+    ``(kernel, n)`` for every exact-type strategy the vector kernel
+    covers — the Random*, Sorted*, MapReduce*, Dynamic* and
+    Dynamic*2Phases of that product — without per-task id collection;
+    strategies with equal keys can share one sweep.  ``None`` for
+    everything else, which only runs cell by cell.
     """
     kernel = kernel_for(strategy)
     if kernel is None or fallback_reason(strategy) is not None:
@@ -331,18 +335,21 @@ def simulate_sweep(
     speed_models: Optional[Sequence[Optional[SpeedModel]]] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> List[List[SimulationResult]]:
-    """Run several Dynamic-family cells over the same R replicates at once.
+    """Run several cells of one product over the same R replicates at once.
 
     Every factory must build a strategy of one :func:`sweep_group_key`
-    (same kernel and ``n``): a Dynamic* cell and any number of
-    Dynamic*2Phases cells, whatever sets their thresholds.  Phase 1 runs
-    once in lockstep; each two-phase member forks its closed-form phase 2
-    at its own threshold crossing, on a copy of that replicate's state and
-    generator.  ``results[b][r]`` equals
+    (same kernel and ``n``): any mix of that product's five strategies,
+    whatever sets their thresholds.  The members without a phase 1
+    (Random*, Sorted*, MapReduce*, and Dynamic*2Phases at a threshold of
+    ``n^d``) share one closed-form pop schedule per replicate; then phase
+    1 runs once in lockstep and each other two-phase member forks its
+    closed-form phase 2 at its own threshold crossing.  With several
+    members every fork draws from a copy of that replicate's generator.
+    ``results[b][r]`` equals
     ``simulate_batch(strategy_factories[b], platforms, rngs=...)[r]`` bit
     for bit.  The generators in *rngs* end where the longest member's
-    phase 1 stopped (with a single member, exactly as
-    :func:`simulate_batch` leaves them).
+    phase 1 stopped — untouched when no member has a phase 1; with a
+    single member, exactly as :func:`simulate_batch` leaves them.
 
     Static speeds are a precondition: *speed_models* entries must be
     ``None`` or :class:`~repro.platform.speeds.StaticSpeedModel`, since a
@@ -371,7 +378,7 @@ def simulate_sweep(
     if None in keys or len(keys) != 1:
         names = ", ".join(prototype.name for prototype in prototypes)
         raise ValueError(
-            f"simulate_sweep members must share one Dynamic-family kernel and n; got {names}"
+            f"simulate_sweep members must share one vector kernel and n; got {names}"
         )
     if R == 0:
         return [[] for _ in prototypes]

@@ -1,62 +1,65 @@
-"""Vectorized per-strategy kernels for the batch replicate engine.
+"""Vectorized kernels for the batch replicate engine.
 
 The batch engine (:mod:`repro.simulator.batch`) runs R replicates of one
-(strategy, platform) cell at once.  Each *vector kernel* here reproduces,
-bit for bit, what R independent :func:`repro.simulator.simulate` calls
-would compute — same RNG consumption per replicate, same IEEE-754
-operand order for every duration and timestamp, same heap tie-breaking —
-but over numpy arrays instead of one Python event at a time.
+(strategy, platform) cell at once.  The kernel here reproduces, bit for
+bit, what R independent :func:`repro.simulator.simulate` calls would
+compute — same RNG consumption per replicate, same IEEE-754 operand order
+for every duration and timestamp, same heap tie-breaking — but over numpy
+arrays instead of one Python event at a time.
 
-Two kernel families cover all ten registry strategies:
+One kernel per product (:class:`_LockstepKernel`, an outer-product and a
+matrix instance) covers all five strategies of that product.  Its
+backbone is the Dynamic* loop of Algorithms 1 and 3: replicates advance
+event by event, but *together*.  The sequential part of each event runs
+per replicate in plain Python, as in the scalar engine: one ``heapq`` of
+``(time, seq, worker)`` and plain-int accumulators per replicate, and the
+strategy's draws with their swap-removes on (R·p, dims, n) index buffers.
+The data-parallel part, each step's cross/shell marking, is one
+flat-index gather/scatter over the (R, n, n[, n]) task bitmaps of every
+active replicate.
 
-* :class:`_TaskByTaskKernel` (RandomOuter / SortedOuter / RandomMatrix /
-  SortedMatrix / MapReduceOuter / MapReduceMatrix) — these strategies
-  allocate exactly one task per request, so under static speeds the whole
-  event schedule is *analytically* reconstructible: worker ``w``'s
-  ``k``-th request happens at ``k / speed_w`` (computed by the same
-  repeated float addition the event loop performs, via ``cumsum``), and
-  the heap's pop order is a stable sort by time with FIFO ties fixed up
-  exactly (see :func:`_pop_schedule`).  Random task order is re-drawn
-  with a single batched ``Generator.integers`` call per replicate, which
-  numpy guarantees to be stream-identical to the scalar per-draw calls.
-  The MapReduce variants are the degenerate cached-nothing case: a
-  constant 2 (outer) or 3 (matmul) blocks ship with every task.
-
-* the lockstep kernel (:class:`_LockstepKernel`, covering DynamicOuter /
-  DynamicMatrix / DynamicOuter2Phases / DynamicMatrix2Phases) — the
-  Dynamic* strategies' decisions depend on evolving shared state, so
-  replicates advance event by event, but *together*.  The sequential
-  part of each event runs per replicate in plain Python, as in the
-  scalar engine: one ``heapq`` of ``(time, seq, worker)`` and plain-int
-  accumulators per replicate, and the strategy's draws with their
-  swap-removes on (R·p, dims, n) index buffers.  The data-parallel part,
-  each step's cross/shell marking, is one flat-index gather/scatter over
-  the (R, n, n[, n]) task bitmaps of every active replicate.  A
-  two-phase strategy's phase 1 *is* that loop: each replicate crosses
-  its own ``e^{-beta}``-remaining threshold and forks its phase 2 off
-  the loop, closed-form under static speeds.  One loop can therefore
-  serve a whole *group* of Dynamic-family cells that share their
-  replicates (:meth:`_LockstepKernel.run_group`): phase 1 runs once and
-  every two-phase member forks at its own threshold.
+Every member of a run has a *fork count*, the remaining-task count at
+which it leaves that loop: never for Dynamic*, the ``e^{-beta}``
+threshold for Dynamic*2Phases, and ``n^d`` for Random*, Sorted* and
+MapReduce* — their first pop, an empty phase 1, as in Algorithm 2 at
+β = 0.  From its fork on a member assigns one task per request, as its
+:class:`_Rule` says: in sampler-draw or lowest-open-id order, shipping
+the blocks its caches miss or a constant 2 (outer) or 3 (matmul).  Under
+static speeds that remainder is closed-form (:func:`_close_out`): worker
+``w``'s ``k``-th request happens at ``t0_w + k / speed_w`` (the same
+repeated float addition the event loop performs, via ``cumsum``), the
+heap's pop order is a stable sort by time with FIFO ties fixed up exactly
+(:func:`_pop_schedule`), the draws are one batched ``Generator.integers``
+call, which numpy guarantees to be stream-identical to the scalar
+per-draw calls, and the shipped blocks are boolean scatters into
+(worker, block) masks.  Members that fork at one pop share its schedule
+and draws, so one call serves every vector-kernel cell of a figure point
+(:meth:`_LockstepKernel.run_group`): the members without a phase 1 run
+replicate by replicate before any lockstep state exists, then one loop
+runs phase 1 for the rest and every two-phase member forks off it at its
+own threshold.
 
 Dynamic speed models (``dyn.*``) no longer force the scalar engine:
 each event's duration replays ``model.duration`` on the replicate's own
 stream, in pop order — exactly the call the scalar loop makes after each
 assignment, a one-task event's in the kernel itself with the same draw
-and float operations (see :meth:`_LockstepAccumulator.commit`).
+and float operations (see :meth:`_LockstepAccumulator.commit`).  The
+schedule then depends on history, so a member past its fork stays in the
+loop on a frozen sampler and per-worker block caches (:func:`_freeze`),
+one task per step.
 
-Per-event bounded draws (the Dynamic* index draws, the frozen phase-2
-sampler, the task-by-task kernel's dynamic-speed path) go through
-:func:`repro.utils.rng.bounded_draws`: ``Generator.integers(size)``'s
-values and stream consumption, from raw PCG64 words when the generator
-allows it.  The kernel writes the buffered half word back before phase 2
-or a deep copy reads the generator, and at the end of the run.
+Per-event bounded draws (the Dynamic* index draws and the frozen
+sampler) go through :func:`repro.utils.rng.bounded_draws`:
+``Generator.integers(size)``'s values and stream consumption, from raw
+PCG64 words when the generator allows it.  The kernel writes the buffered
+half word back before a closed form or a deep copy reads the generator,
+and at the end of the run.
 
 Strategies without a kernel here (user subclasses) transparently fall
 back to per-replicate scalar simulation in the batch engine — the
 registry is keyed by *exact* type, so a subclass never silently inherits
-a kernel whose semantics it may have changed.  Kernels also advertise a
-per-replicate working-set estimate (:meth:`VectorKernel.bytes_per_replicate`)
+a kernel whose semantics it may have changed.  The kernel also advertises
+a per-replicate working-set estimate (:meth:`VectorKernel.bytes_per_replicate`)
 that the batch engine uses to chunk the replicate axis under a memory
 budget, keeping paper-scale ``(R, n, n, n)`` bitmaps in RAM.
 """
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, TypeVar, Union
 
 import numpy as np
 
@@ -137,9 +140,6 @@ class VectorKernel:
     the batch engine may run kernels in any process and any order.
     """
 
-    #: Registry names of the strategies this kernel instance covers.
-    strategy_name: str = ""
-
     def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
         """Simulate one replicate per row of ``ctx.speeds`` ``(R, p)``.
 
@@ -191,7 +191,7 @@ def _replay_models(
 
     ``None`` when every replicate runs on static speeds (the common
     case): every duration is then the scalar engine's ``tasks / speed``
-    division, and the task-by-task kernels take their analytic path.
+    division, and every fork takes the closed form.
     """
     out = [
         model if model is not None and type(model) is not StaticSpeedModel else None
@@ -201,7 +201,7 @@ def _replay_models(
 
 
 # ---------------------------------------------------------------------------
-# Exact event-schedule reconstruction (task-by-task strategies)
+# Exact event-schedule reconstruction (one task per event)
 # ---------------------------------------------------------------------------
 
 
@@ -403,198 +403,11 @@ def _replay_draws(
     return out
 
 
-class _TaskByTaskKernel(VectorKernel):
-    """Analytic kernel for the six one-task-per-request strategies.
-
-    Under static speeds the schedule never depends on the task drawn
-    (every assignment lasts ``1 / speed_w``), so pop order, task order
-    and block accounting decouple: the pop schedule comes from
-    :func:`_pop_schedule`, the task order from one batched RNG draw (or
-    ``arange`` for the Sorted* variants), and per-worker distinct-block
-    counts from boolean scatters over (worker, block) key spaces.  The
-    MapReduce variants ship a constant *blocks_per_task* instead of
-    consulting caches.  Replicates with a dynamic speed model run event
-    by event instead (:meth:`_run_dynamic`) — the schedule is then
-    genuinely history-dependent — with identical draws.
-    """
-
-    def __init__(
-        self,
-        kernel: str,
-        random_order: bool,
-        strategy_name: str,
-        blocks_per_task: Optional[int] = None,
-    ) -> None:
-        self._kernel = kernel
-        self._random = random_order
-        self._replicated = blocks_per_task
-        self.strategy_name = strategy_name
-
-    def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
-        n = prototype.n
-        total = n * n if self._kernel == "outer" else n**3
-        caches = 0
-        if self._replicated is None:
-            caches = 2 * p * n if self._kernel == "outer" else 3 * p * n * n
-        return 8 * total + caches + 64 * p
-
-    def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
-        n = prototype.n
-        speeds = ctx.speeds
-        p = int(speeds.shape[1])
-        R = int(speeds.shape[0])
-        total = n * n if self._kernel == "outer" else n**3
-        replay = _replay_models(ctx.models)
-        runs: List[Optional[KernelRun]] = [None] * R
-        dynamic = (
-            [] if replay is None else [r for r in range(R) if replay[r] is not None]
-        )
-        for r in range(R):
-            if replay is not None and replay[r] is not None:
-                continue
-            d = 1.0 / speeds[r]
-            w_seq, pop_times, counts, makespan = _pop_schedule(d, total)
-            task_seq: Optional[np.ndarray] = None
-            if self._random:
-                # Bit-identical to `total` successive rng.integers(size)
-                # calls with shrinking bounds (numpy's array-high path
-                # consumes the stream exactly like the scalar path).
-                idx = ctx.generators[r].integers(np.arange(total, 0, -1, dtype=np.int64))
-                if self._replicated is None:
-                    task_seq = _replay_draws(total, idx)
-            elif self._replicated is None:
-                task_seq = np.arange(total, dtype=np.int64)
-            runs[r] = self._account(
-                n, p, total, d, w_seq, pop_times, counts, makespan, task_seq, ctx.want_events
-            )
-        if dynamic:
-            for r, kr in zip(dynamic, self._run_dynamic(n, p, total, dynamic, ctx, replay)):
-                runs[r] = kr
-        return [kr for kr in runs if kr is not None]
-
-    def _run_dynamic(
-        self,
-        n: int,
-        p: int,
-        total: int,
-        sub: List[int],
-        ctx: BatchContext,
-        replay: Optional[List[Optional[SpeedModel]]],
-    ) -> List[KernelRun]:
-        """Event-by-event runs for dynamic-speed replicates.
-
-        Same draws, same block accounting; only the schedule is computed
-        per event because durations depend on the evolving speeds.  No
-        step has a data-parallel part, so each replicate runs to the end
-        in turn.
-        """
-        assert replay is not None
-        acc = _LockstepAccumulator(
-            self.strategy_name,
-            ctx.speeds[np.asarray(sub, dtype=np.int64)],
-            [replay[r] for r in sub],
-            [ctx.generators[r] for r in sub],
-            n,
-            ctx.want_events,
-        )
-        for x, r in enumerate(sub):
-            heap = acc.heaps[x]
-            draws = bounded_draws(ctx.generators[r])
-            integers = draws.integers
-            items = list(range(total)) if self._random else None
-            caches = _BlockCaches(self._kernel, 1, p, n) if self._replicated is None else None
-            for size in range(total, 0, -1):
-                now, _, w = heapq.heappop(heap)
-                if items is not None:
-                    # SampleSet.draw's swap-remove, replayed in place.
-                    idx = integers(size)
-                    task = items[idx]
-                    items[idx] = items[size - 1]
-                else:
-                    task = total - size
-                if caches is None:
-                    assert self._replicated is not None
-                    acc.commit(x, now, w, self._replicated, 1)
-                else:
-                    acc.commit(x, now, w, caches.ship(0, w, task), 1)
-            draws.sync()
-        return acc.finish()
-
-    def _operand_keys(
-        self, n: int, w_seq: np.ndarray, task_seq: np.ndarray
-    ) -> Tuple[np.ndarray, ...]:
-        """(worker, block) keys per operand cache, in cache-add order."""
-        if self._kernel == "outer":
-            i, j = np.divmod(task_seq, n)
-            base = w_seq * n
-            return (base + i, base + j)
-        ij, k = np.divmod(task_seq, n)
-        i, j = np.divmod(ij, n)
-        base = w_seq * (n * n)
-        return (base + i * n + k, base + k * n + j, base + i * n + j)
-
-    def _account(
-        self,
-        n: int,
-        p: int,
-        total: int,
-        d: np.ndarray,
-        w_seq: np.ndarray,
-        pop_times: np.ndarray,
-        counts: np.ndarray,
-        makespan: float,
-        task_seq: Optional[np.ndarray],
-        want_events: bool,
-    ) -> KernelRun:
-        """Fold one replicate's schedule + task order into a KernelRun."""
-        events: Optional[List[Event]] = None
-        if self._replicated is not None:
-            # Full replication: every task ships the same constant blocks.
-            per_blocks = counts * self._replicated
-            if want_events:
-                durations = d[w_seq]
-                events = list(
-                    zip(
-                        pop_times.tolist(),
-                        w_seq.tolist(),
-                        [self._replicated] * total,
-                        [1] * total,
-                        durations.tolist(),
-                        [1] * total,
-                    )
-                )
-            return KernelRun(per_blocks, counts, makespan, total, events)
-        assert task_seq is not None
-        block_space = n if self._kernel == "outer" else n * n
-        keys = self._operand_keys(n, w_seq, task_seq)
-        per_blocks = np.zeros(p, dtype=np.int64)
-        for key in keys:
-            seen = np.zeros(p * block_space, dtype=bool)
-            seen[key] = True
-            per_blocks += seen.reshape(p, block_space).sum(axis=1)
-        if want_events:
-            per_event = np.zeros(total, dtype=np.int64)
-            for key in keys:
-                first = np.zeros(total, dtype=bool)
-                first[np.unique(key, return_index=True)[1]] = True
-                per_event += first
-            durations = d[w_seq]
-            events = list(
-                zip(
-                    pop_times.tolist(),
-                    w_seq.tolist(),
-                    per_event.tolist(),
-                    [1] * total,
-                    durations.tolist(),
-                    [1] * total,
-                )
-            )
-        return KernelRun(per_blocks, counts, makespan, total, events)
-
-
 # ---------------------------------------------------------------------------
-# Lockstep machinery (Dynamic* strategies)
+# Lockstep machinery
 # ---------------------------------------------------------------------------
+
+_K = TypeVar("_K", int, np.ndarray)
 
 
 def _flat_view(array: np.ndarray) -> memoryview:
@@ -614,38 +427,71 @@ def _swap_remove(items: memoryview, base: int, size: int, integers: _Integers) -
     return value
 
 
+def _block_keys(outer: bool, n: int, base: _K, task: _K) -> Tuple[_K, ...]:
+    """Flat (worker, block) keys of *task* per operand cache, in cache-add order.
+
+    *base* is the worker's offset in a key space of ``n`` (outer) or
+    ``n * n`` (matrix) blocks per worker.  Works on ints and int64 arrays
+    alike, so the closed form and :meth:`_BlockCaches.ship` share it.
+    """
+    if outer:
+        i, j = divmod(task, n)
+        return (base + i, base + j)
+    ij, k = divmod(task, n)
+    i, j = divmod(ij, n)
+    return (base + i * n + k, base + k * n + j, base + i * n + j)
+
+
+def _seed(masks: Sequence[np.ndarray], order: np.ndarray, cnt: np.ndarray) -> None:
+    """Scalar ``_enter_phase2``'s block caches, from phase-1 knowledge.
+
+    *masks* are one replicate's per-operand ``(p, n)`` (outer) or
+    ``(p, n, n)`` (matrix) boolean caches; *order* and *cnt* its known
+    indices and their counts (:meth:`_DynState.knowledge`).  A worker
+    holds its known index sets — for matmul, their products.
+    """
+    if len(masks) == 2:
+        width = int(cnt.max())
+        if width:
+            p = int(cnt.shape[1])
+            workers = np.broadcast_to(np.arange(p)[:, None], (p, width))
+            valid = np.arange(width) < cnt[:, :, None]
+            for dim, mask in enumerate(masks):
+                mask[workers[valid[dim]], order[dim, :, :width][valid[dim]]] = True
+        return
+    a, b, c = masks
+    counts = cnt.tolist()
+    for w in range(int(cnt.shape[1])):
+        rows = order[0, w, : counts[0][w]][:, None]
+        cols = order[1, w, : counts[1][w]]
+        deps = order[2, w, : counts[2][w]]
+        a[w][rows, deps] = True
+        b[w][deps[:, None], cols] = True
+        c[w][rows, cols] = True
+
+
 class _BlockCaches:
     """``(R, p, ·)`` boolean per-worker block caches for single-task draws.
 
-    Backs both the random task-by-task strategies under dynamic speeds
-    and phase 2 of the two-phase strategies under dynamic speeds: a
-    worker's holdings are an arbitrary block subset, and :meth:`ship`
-    counts (then records) the blocks a drawn task is missing — exactly
-    ``BlockCache.add``'s semantics, one event at a time.
+    Backs every member past its fork under dynamic speeds: a worker's
+    holdings are an arbitrary block subset, seeded from phase 1
+    (:func:`_freeze`), and :meth:`ship` counts (then records) the blocks a
+    drawn task is missing — exactly ``BlockCache.add``'s semantics, one
+    event at a time.
     """
 
     def __init__(self, kind: str, R: int, p: int, n: int) -> None:
         self._outer = kind == "outer"
         self._n = n
         self._p = p
+        self._space = n if self._outer else n * n
         shape = (R, p, n) if self._outer else (R, p, n, n)
-        self.a = np.zeros(shape, dtype=bool)
-        self.b = np.zeros(shape, dtype=bool)
-        self.c: Optional[np.ndarray] = None if self._outer else np.zeros(shape, dtype=bool)
-        self._views = [_flat_view(cache) for cache in (self.a, self.b, self.c) if cache is not None]
+        self.masks = [np.zeros(shape, dtype=bool) for _ in range(2 if self._outer else 3)]
+        self._views = [_flat_view(mask) for mask in self.masks]
 
     def ship(self, r: int, w: int, task: int) -> int:
         """Blocks flat *task* adds to worker *w*'s caches in replicate *r*."""
-        n = self._n
-        if self._outer:
-            i, j = divmod(task, n)
-            base = (r * self._p + w) * n
-            keys: Tuple[int, ...] = (base + i, base + j)
-        else:
-            ij, k = divmod(task, n)
-            i, j = divmod(ij, n)
-            base = (r * self._p + w) * n * n
-            keys = (base + i * n + k, base + k * n + j, base + i * n + j)
+        keys = _block_keys(self._outer, self._n, (r * self._p + w) * self._space, task)
         blocks = 0
         for view, key in zip(self._views, keys):
             if not view[key]:
@@ -681,7 +527,7 @@ def _speed_walk(model: Optional[SpeedModel], generator: np.random.Generator) -> 
 
 
 class _LockstepAccumulator:
-    """Per-replicate event queues and accounting of the lockstep kernels.
+    """Per-replicate event queues and accounting of the lockstep loop.
 
     Each replicate keeps the scalar engine's own structures: a ``heapq`` of
     ``(time, seq, worker)`` (:attr:`heaps`, seeded with every worker
@@ -690,8 +536,7 @@ class _LockstepAccumulator:
     same ``tasks / speed`` division or ``model.duration`` call on the
     replicate's own stream, makespan rule, livelock guard and FIFO
     sequence — and :meth:`finish` folds every replicate into a
-    :class:`KernelRun`.  Shared by the lockstep loop and the task-by-task
-    kernel's dynamic-speed path.
+    :class:`KernelRun`.
 
     A one-task event on a :class:`DynamicSpeedModel` replicate skips the
     model: ``duration(w, 1)`` is ``1 / max(s0, floor)``, and the worker's
@@ -775,8 +620,8 @@ class _LockstepAccumulator:
     def fork(self, state: "_DynState", r: int, now: float, seq: int, w: int) -> "_Fork":
         """Replicate *r*'s state at the crossing pop of *w* (``now``, ``seq``).
 
-        The pending event times and FIFO sequences come from the
-        replicate's heap plus the popped event, which phase 2 re-serves.
+        The pending event times and FIFO ranks come from the replicate's
+        heap plus the popped event, which the closed form re-serves.
         """
         p = len(self._blocks[r])
         times = [0.0] * p
@@ -786,14 +631,16 @@ class _LockstepAccumulator:
             seqs[u] = s
         times[w] = now
         seqs[w] = seq
-        order, cnt = state.knowledge(r)
+        rank0 = np.empty(p, dtype=np.int64)
+        rank0[np.argsort(seqs, kind="stable")] = np.arange(p, dtype=np.int64)
+        pool = np.flatnonzero(state.open[r].reshape(-1))
         return _Fork(
-            self.speeds[r],
+            1.0 / self.speeds[r],
+            int(pool.size),
             np.array(times, dtype=np.float64),
-            np.array(seqs, dtype=np.int64),
-            ~state.open[r],
-            order,
-            cnt,
+            rank0,
+            pool,
+            state.knowledge(r),
             np.array(self._blocks[r], dtype=np.int64),
             np.array(self._tasks[r], dtype=np.int64),
             self._makespan[r],
@@ -852,20 +699,12 @@ class _DynState:
         self._open = np.ones(R * cells + 1, dtype=bool)
         self._open[-1] = False
         self.open = self._open[:-1].reshape((R,) + (n,) * dims)
-        self.remaining = [cells] * R
         self.items = np.broadcast_to(np.arange(n, dtype=np.int64), (R * p, dims, n)).copy()
         self.order = np.full((R * p, dims, n + 1), self.sentinel, dtype=np.int64)
         self.cnt = [[0] * (R * p) for _ in range(dims)]
         self._items = _flat_view(self.items)
         self._dims = np.arange(dims)
         self._scales = (n ** np.arange(dims - 1, -1, -1))[:, None, None]
-
-    def absorb(self, r: int) -> int:
-        """``mark_all`` for replicate *r*: every remaining task, allocated."""
-        tasks = self.remaining[r]
-        self.open[r] = False
-        self.remaining[r] = 0
-        return tasks
 
     def knowledge(self, r: int) -> Tuple[np.ndarray, np.ndarray]:
         """Replicate *r*'s ``(dims, p, n)`` known indices and ``(dims, p)`` counts."""
@@ -1008,83 +847,133 @@ class _MatrixDynState(_DynState):
 
 
 # ---------------------------------------------------------------------------
-# The lockstep loop: Dynamic* and Dynamic*2Phases cells, alone or grouped
+# The lockstep loop: every strategy of one product, alone or grouped
 # ---------------------------------------------------------------------------
 
 
+class _Rule(NamedTuple):
+    """What serves a member from its fork on, one task per request.
+
+    ``draws``: the task order is a swap-remove sampler draw (Random*,
+    MapReduce*, a phase 2), else the lowest open id (Sorted*, which draws
+    nothing).  ``blocks``: a constant shipped per task (MapReduce*), or 0
+    for the blocks missing from the seeded caches.  ``phase``: the events'
+    phase label, 1 for the task-by-task strategies and 2 for a phase 2.
+    """
+
+    draws: bool
+    blocks: int
+    phase: int
+
+
+_RANDOM = _Rule(draws=True, blocks=0, phase=1)
+_SORTED = _Rule(draws=False, blocks=0, phase=1)
+_PHASE2 = _Rule(draws=True, blocks=0, phase=2)
+
+#: The rule of every strategy that leaves the Dynamic* loop, by exact type.
+_RULES: Dict[Type[Strategy], _Rule] = {
+    OuterRandom: _RANDOM,
+    MatrixRandom: _RANDOM,
+    OuterSorted: _SORTED,
+    MatrixSorted: _SORTED,
+    OuterMapReduce: _Rule(draws=True, blocks=2, phase=1),
+    MatrixMapReduce: _Rule(draws=True, blocks=3, phase=1),
+    OuterTwoPhase: _PHASE2,
+    MatrixTwoPhase: _PHASE2,
+}
+
+
+def _fork_counts(prototype: Strategy, platforms: Sequence[Platform], total: int) -> List[int]:
+    """Per replicate, the remaining-task count at which *prototype* forks.
+
+    Dynamic*2Phases replays the threshold its scalar ``reset`` resolves
+    from the bound platform; a strategy without a phase 1 forks at its
+    first pop (*total* tasks remaining); Dynamic* never does (-1).
+    """
+    if isinstance(prototype, (OuterTwoPhase, MatrixTwoPhase)):
+        return [prototype.resolve_threshold(platform) for platform in platforms]
+    return [total if type(prototype) in _RULES else -1] * len(platforms)
+
+
 class _Fork(NamedTuple):
-    """One replicate's lockstep state where a two-phase member forks.
+    """One replicate's state where members leave the Dynamic* loop.
 
     Built at the crossing pop from the replicate's heap plus the popped
     event (:meth:`_LockstepAccumulator.fork`) and consumed before the
-    replicate's next step; :func:`_phase2_analytic` only reads it.
+    replicate's next step; :func:`_close_out` only reads it.  A fresh
+    fork, the first pop of a member without a phase 1, keeps the
+    defaults: every worker pending at time 0 in worker order, every task
+    open, no block held and nothing accounted yet.
     """
 
-    speeds: np.ndarray  # (p,) platform speeds
-    times: np.ndarray  # (p,) pending event times
-    seqs: np.ndarray  # (p,) their heap insertion sequences
-    processed: np.ndarray  # (n, n[, n]) phase-1 task bitmap
-    order: np.ndarray  # (dims, p, n) known indices in insertion order
-    cnt: np.ndarray  # (dims, p) known-index counts
-    blocks: np.ndarray  # (p,) phase-1 blocks per worker
-    tasks: np.ndarray  # (p,) phase-1 tasks per worker
-    makespan: float
-    n_events: int
-    events: Optional[List[Event]]
-
-
-def _is_two_phase(prototype: Strategy) -> bool:
-    return isinstance(prototype, (OuterTwoPhase, MatrixTwoPhase))
+    d: np.ndarray  # (p,) per-task durations, 1 / speed
+    remaining: int  # open tasks
+    t0: Optional[np.ndarray] = None  # (p,) pending event times
+    rank0: Optional[np.ndarray] = None  # (p,) their FIFO ranks
+    pool: Optional[np.ndarray] = None  # open task ids, ascending
+    knowledge: Optional[Tuple[np.ndarray, np.ndarray]] = None  # phase-1 (order, cnt)
+    blocks: Union[np.ndarray, int] = 0  # phase-1 blocks per worker
+    tasks: Union[np.ndarray, int] = 0  # phase-1 tasks per worker
+    makespan: float = 0.0
+    n_events: int = 0
+    events: Optional[List[Event]] = None
 
 
 class _LockstepKernel(VectorKernel):
-    """Lockstep kernel for the Dynamic* strategies and their two-phase variants.
+    """The vector kernel of one product, covering its five strategies.
 
     Phase 1 is the Dynamic* loop of Algorithms 1 and 3, R replicates at
     once.  Each step is one pass over the active replicates in plain
     Python — pop the replicate's heap, draw the new indices — then one
     fused marking of every pending cross or shell (:meth:`_DynState.mark`),
-    then the accounting pass.  A two-phase member crosses its own
-    threshold per replicate (``resolve_threshold`` replayed against the
-    replicate's platform, matching the scalar reset) the moment a request
-    finds ``remaining <= threshold`` — the same pre-dispatch check
-    ``assign`` performs.
+    then the accounting pass.  A member forks on a replicate the moment a
+    request finds ``remaining <=`` its fork count (:func:`_fork_counts`)
+    — the same pre-dispatch check a two-phase ``assign`` performs.
 
-    Under static speeds the member then *forks*: phase 2 assigns exactly
-    one task per event at a constant ``1 / speed_w``, so its whole
-    remainder is closed-form (:func:`_phase2_analytic`) from the
-    replicate's state at the crossing pop.  The loop itself carries on
-    for the members still in phase 1, so one loop serves a whole group of
-    cells that share their replicates (:meth:`run_group`): a DynamicOuter
-    cell and any number of DynamicOuter2Phases cells, whatever sets their
-    thresholds.  A replicate leaves the loop after its last fork; a member
-    without a threshold, or whose threshold phase 1 never reaches, takes
-    the finished phase-1 run.  A single cell is the one-member group.
+    Under static speeds the member's remainder is then closed-form
+    (:func:`_close_out`) from the replicate's state at the crossing pop,
+    one schedule for every member that forks there.  The loop itself
+    carries on for the members still in phase 1, so one call serves a
+    whole group of cells that share their replicates (:meth:`run_group`):
+    any mix of the product's strategies, whatever sets their thresholds.
+    Members whose fork count reaches ``n^d`` on every replicate have an
+    empty phase 1 and run first, replicate by replicate, before any
+    lockstep state exists.  A replicate leaves the loop after its last
+    fork; a member that never forks, or whose fork phase 1 never reaches,
+    takes the finished phase-1 run.  A single cell is the one-member
+    group.
 
     Replicates on a dynamic speed model (one-member groups only) instead
     freeze their knowledge into per-worker block caches plus a
-    swap-remove sampler over the surviving task ids (:meth:`_freeze`) and
-    stay in the loop, their phase-2 events advancing beside the other
-    replicates' phase-1 events.
+    swap-remove sampler over the surviving task ids (:func:`_freeze`) and
+    stay in the loop, one task per step on their member's rule, beside
+    the other replicates' phase-1 events.
     """
 
-    def __init__(self, kind: str, strategy_name: str) -> None:
+    def __init__(self, kind: str) -> None:
         self._kind = kind
-        self.strategy_name = strategy_name
+        self._dims = 2 if kind == "outer" else 3
 
     def group_key(self, prototype: Strategy) -> Optional[Tuple[str, int]]:
         return (self._kind, prototype.n)
 
     def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
-        # Bitmap, (dims, p, n + 1) int64 index buffers twice, ~256 bytes of
-        # heap entry and accumulators per worker, and a step's marking
-        # temporaries; two-phase adds its (p, n[, n]) caches and sampler ids.
+        # Phase 1: the bitmap, (dims, p, n + 1) int64 index buffers twice,
+        # ~256 bytes of heap entry and accumulators per worker, and a
+        # step's marking temporaries; a two-phase member adds its
+        # (p, n[, n]) caches and sampler ids.  Without a phase 1: the
+        # drawn task ids and the caches.
         n = prototype.n
-        if self._kind == "outer":
-            if not _is_two_phase(prototype):
+        rule = _RULES.get(type(prototype))
+        outer = self._kind == "outer"
+        if rule is not None and rule.phase == 1:
+            caches = 0 if rule.blocks else (2 * p * n if outer else 3 * p * n * n)
+            return 8 * n**self._dims + caches + 64 * p
+        if outer:
+            if rule is None:
                 return n * n + 32 * p * n + 256 * p + 64 * n
             return 9 * n * n + 34 * p * n + 256 * p + 64 * n
-        if not _is_two_phase(prototype):
+        if rule is None:
             return n**3 + 48 * p * n + 256 * p + 64 * n * n
         return 9 * n**3 + 3 * p * n * n + 48 * p * n + 256 * p + 64 * n * n
 
@@ -1094,246 +983,287 @@ class _LockstepKernel(VectorKernel):
     def run_group(
         self, prototypes: Sequence[Strategy], ctx: BatchContext
     ) -> List[List[KernelRun]]:
-        """Run every member over one shared phase-1 lockstep.
+        """Run every member: those without a phase 1, then one shared lockstep.
 
         Returns one :class:`KernelRun` list per member, each bit-identical
         to running that member alone.  With one member the replicate
         generators are consumed exactly as the scalar engine would; with
-        several, each fork draws its phase 2 from a copy, so the
-        generators end where the longest member's phase 1 stopped.
+        several, each fork draws from a copy, so the generators end where
+        the longest member's phase 1 stopped — where they started when no
+        member has a phase 1.
+        """
+        n = prototypes[0].n
+        R = int(ctx.speeds.shape[0])
+        M = len(prototypes)
+        total = n**self._dims
+        replay = _replay_models(ctx.models)
+        assert replay is None or M == 1, "dynamic speeds run one member at a time"
+        forks_at = [_fork_counts(prototype, ctx.platforms, total) for prototype in prototypes]
+        # Dynamic* never forks, so its rule is never read.
+        rules = [_RULES.get(type(prototype), _PHASE2) for prototype in prototypes]
+        dynamic = [replay is not None and replay[r] is not None for r in range(R)]
+        out: List[List[Optional[KernelRun]]] = [[None] * R for _ in range(M)]
+        # Members without a phase 1 run first, from a fresh fork per static
+        # replicate, so their closed-form arrays are freed before any
+        # lockstep state is allocated.
+        fresh = [m for m in range(M) if min(forks_at[m]) >= total]
+        if fresh:
+            fresh_rules = [rules[m] for m in fresh]
+            drawing = any(rule.draws for rule in fresh_rules)
+            for r in range(R):
+                if dynamic[r]:
+                    continue
+                generator = ctx.generators[r]
+                if drawing and M > 1:
+                    generator = copy.deepcopy(generator)
+                fork = _Fork(1.0 / ctx.speeds[r], total, events=[] if ctx.want_events else None)
+                for m, run in zip(fresh, _close_out(fork, fresh_rules, self._dims == 2, n, generator)):
+                    out[m][r] = run
+        phase1 = [m for m in range(M) if m not in fresh]
+        following = [[0] if dynamic[r] else list(phase1) for r in range(R)]
+        if any(following):
+            self._lockstep(prototypes, ctx, forks_at, rules, following, out)
+        runs = [[run for run in row if run is not None] for row in out]
+        assert all(len(row) == R for row in runs)
+        return runs
+
+    def _lockstep(
+        self,
+        prototypes: Sequence[Strategy],
+        ctx: BatchContext,
+        forks_at: List[List[int]],
+        rules: List[_Rule],
+        following: List[List[int]],
+        out: List[List[Optional[KernelRun]]],
+    ) -> None:
+        """The Dynamic* loop over every replicate a member still *follows*.
+
+        Fills the rest of *out*: each member's closed form where it forks,
+        else the replicate's finished run.  Builds no phase-1 state when
+        every member forks at its first pop (dynamic speeds only).
         """
         n = prototypes[0].n
         R, p = int(ctx.speeds.shape[0]), int(ctx.speeds.shape[1])
         M = len(prototypes)
+        total = n**self._dims
+        outer = self._dims == 2
         replay = _replay_models(ctx.models)
-        assert replay is None or M == 1, "dynamic speeds run one member at a time"
-        # The scalar strategy resolves its threshold at reset() from the
-        # bound platform; replay that resolution per replicate.  -1 marks
-        # a member without one (Dynamic*).
-        thresholds = [
-            [prototype.resolve_threshold(pl) for pl in ctx.platforms]
-            if _is_two_phase(prototype)
-            else [-1] * R
-            for prototype in prototypes
-        ]
         name = " + ".join(dict.fromkeys(prototype.name for prototype in prototypes))
         acc = _LockstepAccumulator(name, ctx.speeds, replay, ctx.generators, n, ctx.want_events)
-        state: _DynState = _OuterDynState(R, p, n) if self._kind == "outer" else _MatrixDynState(R, p, n)
-        # Members still following each replicate's phase 1, and the
-        # highest threshold among them (the next possible crossing).
-        following = [list(range(M)) for _ in range(R)]
-        next_cross = [max(row[r] for row in thresholds) for r in range(R)]
-        forks: List[List[Optional[KernelRun]]] = [[None] * R for _ in range(M)]
-        p2_items: List[Optional[List[int]]] = [None] * R
+        state: Optional[_DynState] = None
+        if any(min(counts) < total for counts in forks_at):
+            state = _OuterDynState(R, p, n) if outer else _MatrixDynState(R, p, n)
+        remaining = [total] * R
+        # The highest fork count among the members a replicate follows.
+        next_fork = [max((forks_at[m][r] for m in following[r]), default=-1) for r in range(R)]
+        # Under dynamic speeds (one member) a forked replicate stays in the
+        # loop on its member's rule, over a frozen sampler and caches.
+        frozen: List[Optional[memoryview]] = [None] * R
+        frozen_draws, frozen_blocks, frozen_phase = rules[0]
         caches: Optional[_BlockCaches] = None
         heaps = acc.heaps
         commit = acc.commit
-        draw = state.draw
-        remaining = state.remaining
+        if state is not None:
+            # Only with a phase 1: a replicate without one is frozen at its
+            # first pop, before it could draw.
+            draw = state.draw
         generators = ctx.generators
         draws = [bounded_draws(generator) for generator in generators]
         integers = [d.integers for d in draws]
         heappop = heapq.heappop
-        act = list(range(R))
+        act = [r for r in range(R) if following[r]]
         while act:
             pending: List[int] = []
             waiting: List[Tuple[int, float, int, int]] = []
             for r in act:
                 now, seq, w = heappop(heaps[r])
-                if remaining[r] <= next_cross[r]:
-                    # Threshold check before dispatch, as assign() does.
-                    next_cross[r] = -1
+                size = remaining[r]
+                if size <= next_fork[r]:
+                    # The fork check before dispatch, as assign() does it.
+                    next_fork[r] = -1
                     if replay is not None and replay[r] is not None:
-                        if caches is None:
+                        if caches is None and not frozen_blocks:
                             caches = _BlockCaches(self._kind, R, p, n)
-                        p2_items[r] = self._freeze(state, caches, r)
+                        frozen[r] = _freeze(state, caches, r, total)
                     else:
-                        fork = acc.fork(state, r, now, seq, w)
-                        # Phase 2 draws from the generator itself (or a copy).
+                        assert state is not None  # static replicates follow phase-1 members only
+                        leave = [m for m in following[r] if forks_at[m][r] >= size]
+                        following[r] = [m for m in following[r] if forks_at[m][r] < size]
+                        # The closed form draws from the generator itself (or a copy).
                         draws[r].sync()
-                        stay = []
-                        for m in following[r]:
-                            if thresholds[m][r] < remaining[r]:
-                                stay.append(m)
-                                continue
-                            generator = generators[r]
-                            forks[m][r] = _phase2_analytic(
-                                fork, generator if M == 1 else copy.deepcopy(generator)
-                            )
+                        generator = generators[r] if M == 1 else copy.deepcopy(generators[r])
+                        # An unnamed fork: nothing keeps its arrays alive after the closed form.
+                        fork_rules = [rules[m] for m in leave]
+                        closed = _close_out(acc.fork(state, r, now, seq, w), fork_rules, outer, n, generator)
+                        for m, run in zip(leave, closed):
+                            out[m][r] = run
                         draws[r].reload()
-                        following[r] = stay
-                        if not stay:
+                        if not following[r]:
                             continue  # every member forked: the replicate leaves
-                        next_cross[r] = max(thresholds[m][r] for m in stay)
-                items = p2_items[r]
+                        next_fork[r] = max(forks_at[m][r] for m in following[r])
+                items = frozen[r]
                 if items is not None:
-                    assert caches is not None
-                    # SampleSet.draw over the frozen remainder: the live
-                    # size *is* the remaining count.
-                    size = remaining[r]
-                    idx = integers[r](size)
-                    task = items[idx]
-                    items[idx] = items[size - 1]
+                    # The frozen sampler's live size is the remaining count.
+                    if frozen_draws:
+                        task = _swap_remove(items, 0, size, integers[r])
+                    else:
+                        task = items[len(items) - size]
                     remaining[r] = size - 1
-                    commit(r, now, w, caches.ship(r, w, task), 1, 2)
+                    shipped = frozen_blocks
+                    if not shipped:
+                        assert caches is not None
+                        shipped = caches.ship(r, w, task)
+                    commit(r, now, w, shipped, 1, frozen_phase)
                     continue
                 blocks = draw(r, w, integers[r], pending)
                 if blocks is None:
-                    commit(r, now, w, 0, state.absorb(r))
+                    # Complete knowledge: mark_all takes every remaining task.
+                    remaining[r] = 0
+                    commit(r, now, w, 0, size)
                 else:
                     waiting.append((r, now, w, blocks))
             if pending:
+                assert state is not None
                 for (r, now, w, blocks), tasks in zip(waiting, state.mark(pending)):
                     remaining[r] -= tasks
                     commit(r, now, w, blocks, tasks)
             act = [r for r in act if remaining[r] > 0 and following[r]]
         for d in draws:
             d.sync()
-        out: List[List[KernelRun]] = []
-        for row in forks:
-            final = acc.finish() if any(run is None for run in row) else []
-            out.append([final[r] if run is None else run for r, run in enumerate(row)])
-        return out
-
-    def _freeze(self, state: _DynState, caches: _BlockCaches, r: int) -> List[int]:
-        """Scalar ``_enter_phase2`` for replicate *r*.
-
-        Returns the frozen sampler items (the pool's unprocessed ids in
-        ascending order) and seeds the worker block caches from the
-        phase-1 index sets — the index-set product for matmul, the plain
-        index sets for the outer product.
-        """
-        order, cnt = state.knowledge(r)
-        for w in range(state.p):
-            rows = order[0, w, : int(cnt[0, w])]
-            cols = order[1, w, : int(cnt[1, w])]
-            if caches.c is None:
-                caches.a[r, w, rows] = True
-                caches.b[r, w, cols] = True
-            else:
-                deps = order[2, w, : int(cnt[2, w])]
-                caches.a[r, w][np.ix_(rows, deps)] = True
-                caches.b[r, w][np.ix_(deps, cols)] = True
-                caches.c[r, w][np.ix_(rows, cols)] = True
-        flat: List[int] = np.flatnonzero(state.open[r].reshape(-1)).tolist()
-        return flat
+        for row in out:
+            if any(run is None for run in row):
+                final = acc.finish()
+                row[:] = [final[r] if run is None else run for r, run in enumerate(row)]
 
 
-def _phase2_analytic(fork: _Fork, generator: np.random.Generator) -> KernelRun:
-    """One replicate's whole run, its phase 2 closed-form (static speeds).
+def _freeze(
+    state: Optional[_DynState], caches: Optional[_BlockCaches], r: int, total: int
+) -> memoryview:
+    """Scalar ``_enter_phase2`` for replicate *r*: its frozen sampler.
 
-    Every phase-2 event assigns exactly one task for a constant
-    ``1 / speed_w``, so from the crossing pop onward the schedule is the
-    heap resumed at the replicate's pending event times and FIFO ranks
-    (:func:`_pop_schedule` with ``t0``/``rank0``; the crossing pop itself
-    becomes the first phase-2 event), the sampler indices are one batched
-    draw over deterministically shrinking bounds, and the shipped blocks
-    are first occurrences of (worker, block) keys not already in the
-    frozen phase-1 caches.  Pure: reads *fork*, consumes *generator*, and
-    returns the phase-1 prefix plus phase 2 as one :class:`KernelRun`.
+    Returns the open task ids in ascending order — every id when no
+    member has a phase 1 (*state* ``None``) — and seeds *caches*, when
+    the member ships cache misses, from the replicate's phase-1 knowledge.
     """
-    processed = fork.processed
-    n = int(processed.shape[0])
-    outer = processed.ndim == 2
-    p = int(fork.times.size)
-    d = 1.0 / fork.speeds
-    rank0 = np.empty(p, dtype=np.int64)
-    rank0[np.argsort(fork.seqs, kind="stable")] = np.arange(p, dtype=np.int64)
-    pool: List[int] = np.flatnonzero(~processed.reshape(-1)).tolist()
-    m = len(pool)
-    w_seq, pop_times, counts, mk2 = _pop_schedule(d, m, t0=fork.times, rank0=rank0)
-    idx = generator.integers(np.arange(m, 0, -1, dtype=np.int64))
-    task_seq = _replay_draws(m, idx, items=pool)
-    order, cnt = fork.order, fork.cnt
-    block_space = n if outer else n * n
-    # Frozen per-worker caches (scalar _enter_phase2) as flat
-    # (worker, block) masks, one per operand in cache-add order.
-    dims = 2 if outer else 3
-    seen = [np.zeros((p, block_space), dtype=bool) for _ in range(dims)]
-    if outer:
-        width = int(cnt.max())
-        if width:
-            valid_cols = np.arange(width)
-            w_rows = np.broadcast_to(np.arange(p)[:, None], (p, width))
-            for dim in range(2):
-                pad = order[dim, :, :width]
-                valid = valid_cols < cnt[dim][:, None]
-                seen[dim][w_rows[valid], pad[valid]] = True
-    else:
-        seen_a = seen[0].reshape(p, n, n)
-        seen_b = seen[1].reshape(p, n, n)
-        seen_c = seen[2].reshape(p, n, n)
-        cnt_l = cnt.tolist()
-        for w in range(p):
-            rows = order[0, w, : cnt_l[0][w]][:, None]
-            cols = order[1, w, : cnt_l[1][w]]
-            deps = order[2, w, : cnt_l[2][w]]
-            seen_a[w][rows, deps] = True
-            seen_b[w][deps[:, None], cols] = True
-            seen_c[w][rows, cols] = True
-    if outer:
-        i, j = np.divmod(task_seq, n)
-        base = w_seq * n
-        keys = (base + i, base + j)
-    else:
-        ij, k = np.divmod(task_seq, n)
-        i, j = np.divmod(ij, n)
-        base = w_seq * block_space
-        keys = (base + i * n + k, base + k * n + j, base + i * n + j)
-    per_blocks = np.zeros(p, dtype=np.int64)
-    per_event = np.zeros(m, dtype=np.int64) if fork.events is not None else None
-    is_first = np.empty(m, dtype=bool)
-    for cache, key in zip(seen, keys):
-        # First occurrence of each (worker, block) key not already in the
-        # frozen cache ships exactly once (BlockCache.add).
-        srt = np.argsort(key, kind="stable")
-        ks = key[srt]
-        is_first[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=is_first[1:])
-        fresh = is_first & ~cache.reshape(-1)[ks]
-        per_blocks += np.bincount(ks[fresh] // block_space, minlength=p)
-        if per_event is not None:
-            per_event[srt[fresh]] += 1
-    events: Optional[List[Event]] = None
+    if state is None:
+        return _flat_view(np.arange(total, dtype=np.int64))
+    if caches is not None:
+        _seed([mask[r] for mask in caches.masks], *state.knowledge(r))
+    return _flat_view(np.flatnonzero(state.open[r].reshape(-1)))
+
+
+def _close_out(
+    fork: _Fork, rules: Sequence[_Rule], outer: bool, n: int, generator: np.random.Generator
+) -> List[KernelRun]:
+    """Each rule's whole run, closed-form from *fork* on (static speeds).
+
+    Every event from the fork on assigns exactly one task for a constant
+    ``1 / speed_w``, so the schedule is the heap resumed at the fork's
+    pending event times and FIFO ranks (:func:`_pop_schedule`; a crossing
+    pop is itself the first event), one for all *rules*.  The drawing
+    rules share one batched draw over deterministically shrinking bounds,
+    consumed from *generator*, and its swap-remove replay; the others
+    take the open ids in order.  Pure: reads *fork*, consumes
+    *generator*, and returns the phase-1 prefix plus the remainder, per
+    rule.
+    """
+    m = fork.remaining
+    w_seq, pop_times, counts, makespan = _pop_schedule(fork.d, m, t0=fork.t0, rank0=fork.rank0)
+    idx: Optional[np.ndarray] = None
+    if any(rule.draws for rule in rules):
+        idx = generator.integers(np.arange(m, 0, -1, dtype=np.int64))
+    drawn: Optional[np.ndarray] = None
+    columns: Optional[Tuple[List[float], List[int], List[int], List[float]]] = None
     if fork.events is not None:
-        assert per_event is not None
-        events = fork.events + list(
-            zip(
-                pop_times.tolist(),
-                w_seq.tolist(),
-                per_event.tolist(),
-                [1] * m,
-                d[w_seq].tolist(),
-                [2] * m,
+        columns = (pop_times.tolist(), w_seq.tolist(), [1] * m, fork.d[w_seq].tolist())
+    runs: List[KernelRun] = []
+    for rule in rules:
+        per_event: Optional[List[int]] = None
+        if rule.blocks:
+            per_blocks = counts * rule.blocks
+            if columns is not None:
+                per_event = [rule.blocks] * m
+        else:
+            if not rule.draws:
+                order = np.arange(m, dtype=np.int64) if fork.pool is None else fork.pool
+            else:
+                if drawn is None:
+                    assert idx is not None
+                    drawn = _replay_draws(m, idx, fork.pool)
+                order = drawn
+            per_blocks, per_event = _shipped(fork, outer, n, w_seq, order, columns is not None)
+        events: Optional[List[Event]] = None
+        if columns is not None and fork.events is not None and per_event is not None:
+            times, workers, ones, durations = columns
+            events = fork.events + list(
+                zip(times, workers, per_event, ones, durations, [rule.phase] * m)
+            )
+        runs.append(
+            KernelRun(
+                fork.blocks + per_blocks,
+                fork.tasks + counts,
+                max(fork.makespan, makespan),
+                fork.n_events + m,
+                events,
             )
         )
-    return KernelRun(
-        fork.blocks + per_blocks,
-        fork.tasks + counts,
-        max(fork.makespan, mk2),
-        fork.n_events + m,
-        events,
-    )
+    return runs
+
+
+def _shipped(
+    fork: _Fork, outer: bool, n: int, w_seq: np.ndarray, order: np.ndarray, want_events: bool
+) -> Tuple[np.ndarray, Optional[List[int]]]:
+    """Per-worker and (if wanted) per-event blocks of tasks *order* on *w_seq*.
+
+    A task ships each operand block its worker's cache lacks: the first
+    occurrence of a (worker, block) key that phase 1 did not seed
+    (``BlockCache.add``).  Per worker that is the growth of the seeded
+    masks under one boolean scatter; per event, first occurrences from
+    ``np.unique(return_index=True)``, which does not load ``numpy.ma``.
+    """
+    p = int(fork.d.size)
+    m = int(order.size)
+    space = n if outer else n * n
+    masks = [np.zeros((p, space), dtype=bool) for _ in range(2 if outer else 3)]
+    if fork.knowledge is not None:
+        shape = (p, n) if outer else (p, n, n)
+        _seed([mask.reshape(shape) for mask in masks], *fork.knowledge)
+    per_blocks = np.zeros(p, dtype=np.int64)
+    per_event = np.zeros(m, dtype=np.int64) if want_events else None
+    for mask, key in zip(masks, _block_keys(outer, n, w_seq * space, order)):
+        seen = mask.reshape(-1)
+        if per_event is not None:
+            first = np.zeros(m, dtype=bool)
+            first[np.unique(key, return_index=True)[1]] = True
+            per_event += first & ~seen[key]
+        if fork.knowledge is not None:
+            per_blocks -= mask.sum(axis=1)
+        seen[key] = True
+        per_blocks += mask.sum(axis=1)
+    return per_blocks, None if per_event is None else per_event.tolist()
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-#: Exact-type kernel registry.  Keyed by ``type(strategy)`` — never
-#: ``isinstance`` — so strategy subclasses (which may change semantics)
-#: safely fall back to per-replicate scalar simulation.
+#: Exact-type kernel registry: one kernel per product, for all five of its
+#: strategies.  Keyed by ``type(strategy)`` — never ``isinstance`` — so
+#: strategy subclasses (which may change semantics) safely fall back to
+#: per-replicate scalar simulation.
 _KERNELS: Dict[Type[Strategy], VectorKernel] = {
-    OuterRandom: _TaskByTaskKernel("outer", True, "RandomOuter"),
-    OuterSorted: _TaskByTaskKernel("outer", False, "SortedOuter"),
-    MatrixRandom: _TaskByTaskKernel("matrix", True, "RandomMatrix"),
-    MatrixSorted: _TaskByTaskKernel("matrix", False, "SortedMatrix"),
-    OuterMapReduce: _TaskByTaskKernel("outer", True, "MapReduceOuter", blocks_per_task=2),
-    MatrixMapReduce: _TaskByTaskKernel("matrix", True, "MapReduceMatrix", blocks_per_task=3),
-    OuterDynamic: _LockstepKernel("outer", "DynamicOuter"),
-    MatrixDynamic: _LockstepKernel("matrix", "DynamicMatrix"),
-    OuterTwoPhase: _LockstepKernel("outer", "DynamicOuter2Phases"),
-    MatrixTwoPhase: _LockstepKernel("matrix", "DynamicMatrix2Phases"),
+    cls: kernel
+    for kernel, classes in (
+        (
+            _LockstepKernel("outer"),
+            (OuterRandom, OuterSorted, OuterMapReduce, OuterDynamic, OuterTwoPhase),
+        ),
+        (
+            _LockstepKernel("matrix"),
+            (MatrixRandom, MatrixSorted, MatrixMapReduce, MatrixDynamic, MatrixTwoPhase),
+        ),
+    )
+    for cls in classes
 }
 
 

@@ -4,9 +4,7 @@ This package provides
 
 * :class:`~repro.taskpool.sample_set.SampleSet` — O(1) uniform sampling
   without replacement over a shrinking integer universe (swap-remove over a
-  pre-sized buffer), with an opt-in batched fast path
-  (:class:`~repro.taskpool.sample_set.FastSampleSet`) that is
-  stream-compatible with single draws;
+  pre-sized buffer);
 * :class:`~repro.taskpool.outer_pool.OuterTaskPool` — the ``n x n`` domain of
   outer-product block tasks with vectorized cross marking;
 * :class:`~repro.taskpool.matrix_pool.MatrixTaskPool` — the ``n x n x n``
@@ -20,12 +18,10 @@ This package provides
 from repro.taskpool.knowledge import BlockCache, CubeKnowledge, VectorKnowledge
 from repro.taskpool.matrix_pool import MatrixTaskPool
 from repro.taskpool.outer_pool import OuterTaskPool
-from repro.taskpool.sample_set import FastDrawMixin, FastSampleSet, SampleSet
+from repro.taskpool.sample_set import SampleSet
 
 __all__ = [
     "SampleSet",
-    "FastDrawMixin",
-    "FastSampleSet",
     "OuterTaskPool",
     "MatrixTaskPool",
     "VectorKnowledge",

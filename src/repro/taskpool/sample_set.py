@@ -15,14 +15,14 @@ the idiom recommended by the HPC guides (pre-allocate, mutate in place).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.taskpool._arrays import sorted_distinct
-from repro.utils.validation import check_nonnegative_int, check_positive_int
+from repro.utils.validation import check_positive_int
 
-__all__ = ["FastDrawMixin", "FastSampleSet", "SampleSet"]
+__all__ = ["SampleSet"]
 
 
 class SampleSet:
@@ -152,55 +152,4 @@ class SampleSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SampleSet(universe={self._universe}, size={self._size})"
-
-
-class FastDrawMixin:
-    """Opt-in batched draws for :class:`SampleSet`, stream-compatible.
-
-    :meth:`draw_many` consumes the RNG **exactly** like ``count`` successive
-    :meth:`SampleSet.draw` calls — one bounded ``rng.integers(size)`` draw
-    per removed element, with the same shrinking bounds in the same order —
-    so switching a caller to the batched form cannot change any simulated
-    result.  What it saves is pure Python overhead: per-call method
-    dispatch, attribute lookups and emptiness re-checks, which dominate the
-    O(1) swap-remove itself in task-by-task strategies.
-
-    Only mix this into :class:`SampleSet` (or a subclass that keeps its
-    layout invariant); :class:`FastSampleSet` is the ready-made combination.
-    Callers whose draw pattern is *not* a straight run of draws from one
-    generator should keep using ``draw`` — batching is only safe where the
-    call sequence is equivalent, which is what keeps replicates bit-identical
-    to the serial reference.
-    """
-
-    _items: List[int]
-    _pos: List[int]
-    _size: int
-
-    def draw_many(self, rng: np.random.Generator, count: int) -> List[int]:
-        """Remove and return *count* uniformly random members, in draw order."""
-        count = check_nonnegative_int("count", count)
-        if count > self._size:
-            raise IndexError(f"cannot draw {count} from a set of {self._size}")
-        items = self._items
-        pos = self._pos
-        size = self._size
-        integers = rng.integers
-        out: List[int] = []
-        append = out.append
-        for _ in range(count):
-            idx = int(integers(size))
-            v = items[idx]
-            size -= 1
-            last = items[size]
-            items[idx] = last
-            pos[last] = idx
-            pos[v] = -1
-            append(v)
-        self._size = size
-        return out
-
-
-class FastSampleSet(FastDrawMixin, SampleSet):
-    """:class:`SampleSet` with the batched :meth:`FastDrawMixin.draw_many` API."""
 

@@ -207,6 +207,36 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_results(_tiny_record(), _tiny_record(), threshold=0.0)
 
+    def test_overlapping_quartiles_read_within_spread(self):
+        old, new, faster = _tiny_record(), _tiny_record(), _tiny_record()
+        old["workloads"] = {"a": _timed(1.0, 0.6, 2.0), "b": _timed(1.0, 0.95, 1.05)}
+        new["workloads"] = {"a": _timed(1.9, 1.5, 2.4), "b": _timed(1.3, 1.25, 1.35)}
+        rows = {r["name"]: r for r in compare_results(old, new)}
+        assert rows["a"]["status"] == "within spread"  # 1.9x, but the ranges meet
+        assert rows["b"]["status"] == "regression"  # 1.3x with disjoint ranges
+        faster["workloads"] = {"a": _timed(0.5, 0.4, 0.7), "b": _timed(0.7, 0.65, 0.75)}
+        rows = {r["name"]: r for r in compare_results(old, faster)}
+        assert rows["a"]["status"] == "within spread"
+        assert rows["b"]["status"] == "improved"
+        # Without quartiles on either side the fixed threshold decides alone.
+        old["workloads"]["a"] = {"params": {}, "repeats": 1, "seconds": {"median": 1.0}}
+        assert compare_results(old, new)[0]["status"] == "regression"
+
+
+class TestRoundRobin:
+    def test_repeats_run_every_workload_once_per_round(self, monkeypatch):
+        import repro.experiments.bench as bench_module
+
+        order = []
+
+        def workload(name):
+            return bench_module.Workload(name, {}, lambda seed, prof: order.append(name))
+
+        monkeypatch.setattr(bench_module, "build_suite", lambda suite: [workload("a"), workload("b")])
+        record = run_suite("quick", repeats=3)
+        assert order == ["a", "b"] * 3
+        assert {name: entry["repeats"] for name, entry in record["workloads"].items()} == {"a": 3, "b": 3}
+
 
 class TestCli:
     def test_list_runs(self, capsys):
@@ -229,6 +259,20 @@ class TestCli:
         assert main(["compare", str(old_path), str(new_path), "--warn-only"]) == 0
         assert main(["compare", str(old_path), str(old_path)]) == 0
         capsys.readouterr()
+
+    def test_compare_exit_codes_follow_the_spread(self, tmp_path, capsys):
+        paths = []
+        for median, q1, q3 in ((1.0, 0.6, 2.0), (1.9, 1.5, 2.4), (1.0, 0.95, 1.05), (1.3, 1.25, 1.35)):
+            record = _tiny_record()
+            record["workloads"] = {"a": _timed(median, q1, q3)}
+            paths.append(tmp_path / f"{len(paths)}.json")
+            paths[-1].write_text(json.dumps(record))
+        # Overlapping ranges at a 1.9x median ratio: no regression.
+        assert main(["compare", str(paths[0]), str(paths[1])]) == 0
+        assert "within spread" in capsys.readouterr().out
+        # Disjoint ranges at 1.3x: a regression.
+        assert main(["compare", str(paths[2]), str(paths[3])]) == 1
+        assert "regression" in capsys.readouterr().out
 
     def test_compare_rejects_non_bench_json(self, tmp_path):
         bad = tmp_path / "bad.json"

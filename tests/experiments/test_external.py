@@ -24,12 +24,12 @@ class TestPlanning:
         with collect_planned_cells() as units:
             generate("fig04", scale="ci", seed=0)
         names = [[cell.strategy_factory.name for cell in unit] for unit in units]
-        point = [["RandomOuter"], ["SortedOuter"], ["DynamicOuter", "DynamicOuter2Phases"]]
-        assert names == point * 2  # one entry per p of the ci grid
+        point = [["RandomOuter", "SortedOuter", "DynamicOuter", "DynamicOuter2Phases"]]
+        assert names == point * 2  # one four-member unit per p of the ci grid
 
     def test_cell_planned_in_an_earlier_unit_is_planned_once(self):
         fig01, fig04 = plan_figures(["fig01", "fig04"], scale="ci", seed=0)
-        assert [len(unit.cells) for unit in fig01.units] == [1] * 6
+        assert [len(unit.cells) for unit in fig01.units] == [3] * 2
         # fig04 shares fig01's three cells per p; only DynamicOuter2Phases is new,
         # so its group unit keeps the one member no earlier unit planned.
         assert [unit.item[0].strategy_factory.name for unit in fig04.units] == [

@@ -75,14 +75,26 @@ class TestMeanAnalysisRatio:
 
 
 #: One figure point: a beta sweep (duplicate beta included), auto beta, the
-#: Dynamic* cell, and a cell outside the group.
+#: Dynamic* cell, and a cell outside the group (per-task ids take the scalar
+#: engine).
 POINT = [
     StrategySpec("DynamicOuter2Phases", 10, beta=1.0),
-    StrategySpec("RandomOuter", 10),
+    StrategySpec("RandomOuter", 10, collect_ids=True),
     StrategySpec("DynamicOuter2Phases", 10, beta=2.0),
     StrategySpec("DynamicOuter", 10),
     StrategySpec("DynamicOuter2Phases", 10, beta=2.0),
     StrategySpec("DynamicOuter2Phases", 10),
+]
+
+#: A matrix point holding all five matrix strategies, two-phase at beta = 0
+#: (no phase 1) and auto beta: one group.
+MATRIX_POINT = [
+    StrategySpec("SortedMatrix", 10),
+    StrategySpec("DynamicMatrix2Phases", 10, beta=0.0),
+    StrategySpec("RandomMatrix", 10),
+    StrategySpec("DynamicMatrix", 10),
+    StrategySpec("MapReduceMatrix", 10),
+    StrategySpec("DynamicMatrix2Phases", 10),
 ]
 
 
@@ -99,19 +111,20 @@ class TestGroupEntry:
     @pytest.mark.parametrize("precached", [(), (0, 3, 4), tuple(range(len(POINT)))])
     def test_matches_per_cell_loop(self, tmp_path, precached):
         platform = UniformPlatformSpec(6)
-        stores = []
-        for name in ("loop", "group"):
-            store = ResultStore(str(tmp_path / name))
-            for idx in precached:
-                average_normalized_comm(POINT[idx], platform, 10, 3, seed=4, cache=store)
-            store.counts = type(store.counts)()
-            stores.append(store)
-        loop_store, group_store = stores
-        expected = _per_cell(POINT, platform, seed=4, cache=loop_store)
-        got = average_normalized_comm_group(POINT, platform, 10, 3, seed=4, cache=group_store)
-        assert got == expected
-        assert _store_state(group_store) == _store_state(loop_store)
-        assert average_normalized_comm_group(POINT, platform, 10, 3, seed=4) == expected
+        for kernel, point in (("outer", POINT), ("matrix", MATRIX_POINT)):
+            stores = []
+            for name in ("loop", "group"):
+                store = ResultStore(str(tmp_path / kernel / name))
+                for idx in precached:
+                    average_normalized_comm(point[idx], platform, 10, 3, seed=4, cache=store)
+                store.counts = type(store.counts)()
+                stores.append(store)
+            loop_store, group_store = stores
+            expected = _per_cell(point, platform, seed=4, cache=loop_store)
+            got = average_normalized_comm_group(point, platform, 10, 3, seed=4, cache=group_store)
+            assert got == expected
+            assert _store_state(group_store) == _store_state(loop_store)
+            assert average_normalized_comm_group(point, platform, 10, 3, seed=4) == expected
 
     def test_one_lockstep_per_group(self, monkeypatch):
         calls = []
@@ -125,7 +138,8 @@ class TestGroupEntry:
         matrix_point = [StrategySpec("DynamicMatrix", 5), StrategySpec("DynamicMatrix2Phases", 5)]
         average_normalized_comm_group(POINT, UniformPlatformSpec(6), 10, 3, seed=4)
         average_normalized_comm_group(matrix_point, UniformPlatformSpec(6), 5, 3, seed=4)
-        assert calls == [5, 2]
+        average_normalized_comm_group(MATRIX_POINT, UniformPlatformSpec(6), 10, 3, seed=4)
+        assert calls == [5, 2, 6]
 
     def test_plans_the_group_as_one_unit(self):
         with collect_planned_cells() as loop_units:

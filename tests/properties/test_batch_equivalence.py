@@ -190,11 +190,12 @@ def sweep_case(draw):
     n = draw(st.integers(1, 5)) if kernel == "Matrix" else draw(st.integers(1, 10))
     total = n**3 if kernel == "Matrix" else n * n
     p = draw(st.integers(1, 10))
-    # A random threshold set: None is the Dynamic* member, {} auto beta;
-    # duplicates, thresholds past the task count and unreachable ones all
-    # come up.
+    # A random member set: None is the Dynamic* member, a name one of the
+    # task-by-task strategies, {} auto beta; duplicates, thresholds past
+    # the task count and unreachable ones all come up.
     member = st.one_of(
         st.none(),
+        st.sampled_from(["Random", "Sorted", "MapReduce"]),
         st.fixed_dictionaries({}, optional={"agnostic": st.booleans()}),
         st.fixed_dictionaries({"beta": st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 9.0])}),
         st.fixed_dictionaries({"phase1_fraction": st.sampled_from([0.0, 0.3, 0.7, 1.0])}),
@@ -209,17 +210,20 @@ def sweep_case(draw):
 @given(sweep_case())
 @settings(**COMMON)
 def test_sweep_members_match_scalar(case):
-    # One shared phase-1 lockstep, forked at every member's threshold,
+    # One shared phase-1 lockstep, forked at every member's fork count,
     # must give each member exactly its own scalar runs.
     kernel, n, p, members, platform_seeds, seed = case
     platforms = [Platform(uniform_speeds(p, 10.0, 100.0, rng=s)) for s in platform_seeds]
     reps = len(platforms)
-    factories = [
-        (lambda: make_strategy(f"Dynamic{kernel}", n))
-        if kwargs is None
-        else (lambda kwargs=kwargs: make_strategy(f"Dynamic{kernel}2Phases", n, **kwargs))
-        for kwargs in members
-    ]
+
+    def factory(member):
+        if member is None:
+            return lambda: make_strategy(f"Dynamic{kernel}", n)
+        if isinstance(member, str):
+            return lambda: make_strategy(f"{member}{kernel}", n)
+        return lambda: make_strategy(f"Dynamic{kernel}2Phases", n, **member)
+
+    factories = [factory(member) for member in members]
     got = simulate_sweep(factories, platforms, rngs=spawn_rngs(seed, reps))
     for factory, results in zip(factories, got):
         refs = [

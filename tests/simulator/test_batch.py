@@ -17,7 +17,9 @@ from repro.platform import Platform, uniform_speeds
 from repro.platform.speeds import StaticSpeedModel, make_scenario
 from repro.simulator import has_vector_kernel, simulate, simulate_batch
 from repro.simulator.batch import fallback_reason, simulate_sweep, sweep_group_key
+import repro.simulator.vector_kernels as vector_kernels
 from repro.simulator.vector_kernels import (
+    BatchContext,
     _fifo_fix,
     _heap_schedule,
     _pop_schedule,
@@ -339,6 +341,7 @@ def test_two_phase_trace_marks_phase_two():
         ("DynamicOuter2Phases", {"agnostic": True}),
         ("DynamicMatrix2Phases", {"phase1_fraction": 1.0}),
         ("DynamicMatrix2Phases", {"threshold_tasks": 0}),
+        ("DynamicMatrix2Phases", {"beta": 0.0}),
     ],
 )
 def test_two_phase_threshold_edge_cases(name, kwargs):
@@ -537,8 +540,13 @@ def test_sweep_validation():
         simulate_sweep([dyn, lambda: make_strategy("DynamicMatrix", 8)], [platform], rngs=[1])
     with pytest.raises(ValueError, match="share one"):
         simulate_sweep([dyn, lambda: make_strategy("DynamicOuter", 9)], [platform], rngs=[1])
+    # Every strategy of one product shares its kernel: a baseline joins the group.
+    rnd = lambda: make_strategy("RandomOuter", 8)
+    swept = simulate_sweep([dyn, rnd], [platform], rngs=[5])
+    for factory, (got,) in zip([dyn, rnd], swept):
+        assert_same_result(simulate_batch(factory, [platform], rngs=[5])[0], got)
     with pytest.raises(ValueError, match="share one"):
-        simulate_sweep([dyn, lambda: make_strategy("RandomOuter", 8)], [platform], rngs=[1])
+        simulate_sweep([rnd, lambda: make_strategy("RandomMatrix", 8)], [platform], rngs=[1])
     with pytest.raises(ValueError, match="rngs"):
         simulate_sweep([dyn], [platform], rngs=[1, 2])
     with pytest.raises(ValueError, match="memory_budget_bytes"):
@@ -556,8 +564,110 @@ def test_sweep_group_key():
     assert sweep_group_key(make_strategy("DynamicOuter", 8)) == ("outer", 8)
     assert sweep_group_key(make_strategy("DynamicOuter2Phases", 8, beta=2.0)) == ("outer", 8)
     assert sweep_group_key(make_strategy("DynamicMatrix2Phases", 5)) == ("matrix", 5)
-    assert sweep_group_key(make_strategy("RandomOuter", 8)) is None
+    for name in ("RandomOuter", "SortedOuter", "MapReduceOuter"):
+        assert sweep_group_key(make_strategy(name, 8)) == ("outer", 8)
+    for name in ("RandomMatrix", "SortedMatrix", "MapReduceMatrix"):
+        assert sweep_group_key(make_strategy(name, 5)) == ("matrix", 5)
     assert sweep_group_key(make_strategy("DynamicOuter", 8, collect_ids=True)) is None
+    assert sweep_group_key(make_strategy("RandomOuter", 8, collect_ids=True)) is None
+
+
+# -- one kernel per product: members that leave the loop at their first pop ---
+
+
+def _every_member(kernel, n):
+    """All five strategies of a product, plus two-phase members without a phase 1."""
+    total = n * n if kernel == "Outer" else n**3
+    two_phase = f"Dynamic{kernel}2Phases"
+    names = [f"Random{kernel}", f"Sorted{kernel}", f"MapReduce{kernel}", f"Dynamic{kernel}", two_phase]
+    return [(name, n, {}) for name in names] + [
+        (two_phase, n, {"beta": 0.0}),
+        (two_phase, n, {"phase1_fraction": 0.0}),
+        (two_phase, n, {"threshold_tasks": total}),
+        (two_phase, n, {"threshold_tasks": total + 7}),
+    ]
+
+
+def _first_pop_members(kernel, n):
+    return [m for m in _every_member(kernel, n) if m[2] or not m[0].startswith("Dynamic")]
+
+
+@pytest.mark.parametrize("kernel,n,p", [("Outer", 12, 5), ("Matrix", 6, 4)])
+@pytest.mark.parametrize("first_pop_only", [False, True])
+def test_sweep_of_every_strategy_matches_batch_and_scalar(kernel, n, p, first_pop_only):
+    members = (_first_pop_members if first_pop_only else _every_member)(kernel, n)
+    platforms = [Platform(uniform_speeds(p, 10, 100, rng=70 + r)) for r in range(3)]
+    _assert_sweep_matches(members, platforms, seed=21)
+    # Every fork draws from a copy: the generators end where the longest
+    # phase 1 stopped, which is where they started without a phase 1.
+    gens = spawn_rngs(21, 3)
+    factories = [lambda name=name, kw=kw: make_strategy(name, n, **kw) for name, _, kw in members]
+    simulate_sweep(factories, platforms, rngs=gens)
+    expected = spawn_rngs(21, 3)
+    if not first_pop_only:
+        simulate_batch(lambda: make_strategy(f"Dynamic{kernel}", n), platforms, rngs=expected)
+    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in expected]
+
+
+@pytest.mark.parametrize("kernel,n,p", [("Outer", 12, 5), ("Matrix", 6, 4)])
+@pytest.mark.parametrize("first_pop_only", [False, True])
+def test_group_events_match_scalar_traces(kernel, n, p, first_pop_only):
+    # simulate_sweep replays no events; the kernel's group call does, one
+    # trace per member from one shared schedule per fork.
+    members = (_first_pop_members if first_pop_only else _every_member)(kernel, n)
+    prototypes = [make_strategy(name, n, **kw) for name, _, kw in members]
+    platforms = [Platform(uniform_speeds(p, 10, 100, rng=80 + r)) for r in range(3)]
+    speeds = np.stack([platform.speeds for platform in platforms])
+    ctx = BatchContext(platforms, speeds, spawn_rngs(22, 3), [None] * 3, True)
+    runs = kernel_for(prototypes[0]).run_group(prototypes, ctx)
+    for (name, _, kw), member_runs in zip(members, runs):
+        for platform, g, run in zip(platforms, spawn_rngs(22, 3), member_runs):
+            ref = simulate(make_strategy(name, n, **kw), platform, rng=g, collect_trace=True)
+            assert (run.makespan, run.n_assignments) == (ref.makespan, ref.n_assignments)
+            assert np.array_equal(run.per_worker_blocks, ref.per_worker_blocks)
+            assert np.array_equal(run.per_worker_tasks, ref.per_worker_tasks)
+            assert run.events == [
+                (rec.time, rec.worker, rec.blocks, rec.tasks, rec.duration, rec.phase)
+                for rec in ref.trace.records
+            ]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(vector_kernels, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vector_kernels, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("kernel,n", [("Outer", 12), ("Matrix", 5)])
+def test_first_pop_members_share_one_pop_schedule_per_replicate(monkeypatch, kernel, n):
+    schedules = _counting(monkeypatch, "_pop_schedule")
+    members = _first_pop_members(kernel, n) + [(f"Dynamic{kernel}", n, {})]
+    factories = [lambda name=name, kw=kw: make_strategy(name, n, **kw) for name, _, kw in members]
+    platforms = [Platform(uniform_speeds(4, 10, 100, rng=90 + r)) for r in range(3)]
+    simulate_sweep(factories, platforms, rngs=spawn_rngs(23, 3))
+    assert len(schedules) == 3
+
+
+@pytest.mark.parametrize("kernel,n", [("Outer", 12), ("Matrix", 5)])
+def test_no_lockstep_state_when_every_member_leaves_at_its_first_pop(monkeypatch, kernel, n):
+    names = ("_OuterDynState", "_MatrixDynState", "_LockstepAccumulator", "bounded_draws")
+    built = {name: _counting(monkeypatch, name) for name in names}
+    members = _first_pop_members(kernel, n)
+    factories = [lambda name=name, kw=kw: make_strategy(name, n, **kw) for name, _, kw in members]
+    platforms = [Platform(uniform_speeds(4, 10, 100, rng=r)) for r in range(3)]
+    simulate_sweep(factories, platforms, rngs=spawn_rngs(24, 3))
+    for factory in factories:
+        simulate_batch(factory, platforms, rngs=spawn_rngs(24, 3))
+    assert not any(built.values())
+    # A member with a phase 1 does build it.
+    simulate_batch(lambda: make_strategy(f"Dynamic{kernel}", n), platforms, rngs=spawn_rngs(24, 3))
+    assert built[f"_{kernel}DynState"]
 
 
 # -- figure-shaped batches: R = 5, one platform per replicate -----------------

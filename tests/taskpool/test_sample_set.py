@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.taskpool.sample_set import FastSampleSet, SampleSet
+from repro.taskpool.sample_set import SampleSet
 
 
 class TestConstruction:
@@ -192,46 +192,3 @@ class TestAgainstModel:
                         s.draw(rng)
             assert len(s) == len(model)
             assert set(s.members().tolist()) == model
-
-
-class TestFastDraw:
-    def test_draw_many_matches_serial_draws(self):
-        """Batched draws consume the RNG exactly like repeated draw()."""
-        serial_set = SampleSet(500)
-        fast_set = FastSampleSet(500)
-        serial_rng = np.random.default_rng(7)
-        fast_rng = np.random.default_rng(7)
-        serial = [serial_set.draw(serial_rng) for _ in range(500)]
-        fast = fast_set.draw_many(fast_rng, 500)
-        assert fast == serial
-        # Both generators must be in the same state afterwards.
-        assert serial_rng.integers(1 << 30) == fast_rng.integers(1 << 30)
-
-    def test_draw_many_split_batches_match_one_batch(self):
-        one_rng = np.random.default_rng(3)
-        split_rng = np.random.default_rng(3)
-        one = FastSampleSet(100).draw_many(one_rng, 100)
-        split_set = FastSampleSet(100)
-        split = split_set.draw_many(split_rng, 40) + split_set.draw_many(split_rng, 60)
-        assert split == one
-
-    def test_invariants_survive_partial_batch(self):
-        s = FastSampleSet(50)
-        drawn = s.draw_many(np.random.default_rng(0), 20)
-        assert len(s) == 30
-        for v in drawn:
-            assert v not in s
-        assert sorted(drawn + s.members().tolist()) == list(range(50))
-        # Remaining elements still draw fine via the scalar API.
-        s.draw(np.random.default_rng(1))
-        assert len(s) == 29
-
-    def test_draw_many_validation(self):
-        s = FastSampleSet(5)
-        rng = np.random.default_rng(0)
-        with pytest.raises(IndexError):
-            s.draw_many(rng, 6)
-        with pytest.raises(ValueError):
-            s.draw_many(rng, -1)
-        assert s.draw_many(rng, 0) == []
-        assert len(s) == 5
