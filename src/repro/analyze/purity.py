@@ -6,14 +6,14 @@ and replayed*: called any number of times, in any process, with only the
 strategy instance's own state changing.  That holds iff the hooks —
 ``assign``, ``release_tasks``, ``forget_worker``, ``on_worker_lost``,
 ``reset``/``_setup`` — never write shared state or perform I/O.  The same
-contract binds the batch engine's vector kernels: every ``run`` override
-on a :class:`repro.simulator.vector_kernels.VectorKernel` subclass must
-stay free of global writes, or lockstep replicates would observe each
-other through module state.
+contract binds the batch engine's vector kernel:
+:meth:`repro.simulator.vector_kernels.VectorKernel.run_group` (and any
+override on a subclass) must stay free of global writes, or lockstep
+replicates would observe each other through module state.
 
 The check walks the call graph forward from every hook override on every
 project subclass of :class:`repro.core.strategies.base.Strategy` (and
-every ``run`` on a vector-kernel subclass) and flags, anywhere in the
+every ``run_group`` of the vector kernel) and flags, anywhere in the
 closure:
 
 * ``global`` declarations (module-global writes);
@@ -46,9 +46,9 @@ STRATEGY_HOOKS = frozenset(
 )
 
 #: The vector-kernel contract's engine-facing hooks (the batch engine's
-#: analogue of the strategy hooks: one ``run`` per (strategy, platform)
-#: cell, possibly in a worker process).
-VECTOR_KERNEL_HOOKS = frozenset({"run"})
+#: analogue of the strategy hooks: one ``run_group`` per group of cells
+#: over shared replicates, possibly in a worker process).
+VECTOR_KERNEL_HOOKS = frozenset({"run_group"})
 
 _STRATEGY_BASE = "repro.core.strategies.base.Strategy"
 _VECTOR_KERNEL_BASE = "repro.simulator.vector_kernels.VectorKernel"
@@ -106,7 +106,7 @@ class StrategyPurity(AnalyzeCheck):
     severity = Severity.ERROR
     description = (
         "strategy hooks (assign/release_tasks/forget_worker/on_worker_lost/"
-        "reset/_setup) and vector-kernel run() hooks, plus everything they "
+        "reset/_setup) and vector-kernel run_group() hooks, plus everything they "
         "reach, must not write module or class globals nor perform I/O, so "
         "batched/replayed execution stays safe"
     )

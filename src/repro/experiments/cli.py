@@ -291,6 +291,29 @@ def _run_beta(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_figure(
+    args: argparse.Namespace,
+    journal: Optional[Journal],
+    figure_id: str,
+    fig: FigureData,
+    elapsed: float,
+) -> None:
+    """Render *fig*, then write its CSV (journaled) and optional SVG into ``--outdir``."""
+    if not args.quiet:
+        print(render_figure(fig))
+        print(f"   [{figure_id} generated in {elapsed:.1f}s at scale={args.scale}]\n")
+    if not args.outdir:
+        return
+    path = write_csv(fig, os.path.join(args.outdir, f"{figure_id}_{args.scale}.csv"))
+    print(f"   wrote {path}")
+    _record_csv(args, journal, figure_id, path)
+    if args.svg:
+        from repro.experiments.svgplot import write_svg
+
+        svg_path = write_svg(fig, os.path.join(args.outdir, f"{figure_id}_{args.scale}.svg"))
+        print(f"   wrote {svg_path}")
+
+
 def _run_faults(args: argparse.Namespace) -> int:
     import json
 
@@ -303,27 +326,16 @@ def _run_faults(args: argparse.Namespace) -> int:
         return 0
     start = wall_time()
     fig = flt01(scale=args.scale, seed=args.seed, cache=store)
-    elapsed = wall_time() - start
-    if not args.quiet:
-        print(render_figure(fig))
-        print(f"   [flt01 generated in {elapsed:.1f}s at scale={args.scale}]\n")
-    if args.outdir:
-        path = write_csv(fig, os.path.join(args.outdir, f"flt01_{args.scale}.csv"))
-        print(f"   wrote {path}")
-        _record_csv(args, journal, "flt01", path)
-        if args.svg:
-            from repro.experiments.svgplot import write_svg
-
-            svg_path = write_svg(fig, os.path.join(args.outdir, f"flt01_{args.scale}.svg"))
-            print(f"   wrote {svg_path}")
-        if args.json:
-            json_path = os.path.join(args.outdir, f"flt01_{args.scale}.json")
-            with open(json_path, "w", encoding="utf-8") as fh:
-                json.dump(churn_summary(fig), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"   wrote {json_path}")
-    elif args.svg or args.json:
-        raise SystemExit("--svg/--json require --outdir")
+    _write_figure(args, journal, "flt01", fig, wall_time() - start)
+    if not args.outdir:
+        if args.svg or args.json:
+            raise SystemExit("--svg/--json require --outdir")
+    elif args.json:
+        json_path = os.path.join(args.outdir, f"flt01_{args.scale}.json")
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(churn_summary(fig), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"   wrote {json_path}")
     if store is not None:
         _print_cache_summary(store)
     return 0
@@ -385,19 +397,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             fig = planned.get(fid)
             if fig is None:
                 fig = generate(fid, scale=args.scale, seed=args.seed, cache=cache)
-            elapsed = wall_time() - start
-            if not args.quiet:
-                print(render_figure(fig))
-                print(f"   [{fid} generated in {elapsed:.1f}s at scale={args.scale}]\n")
-            if args.outdir:
-                path = write_csv(fig, os.path.join(args.outdir, f"{fid}_{args.scale}.csv"))
-                print(f"   wrote {path}")
-                _record_csv(args, journal, fid, path)
-                if args.svg:
-                    from repro.experiments.svgplot import write_svg
-
-                    svg_path = write_svg(fig, os.path.join(args.outdir, f"{fid}_{args.scale}.svg"))
-                    print(f"   wrote {svg_path}")
+            _write_figure(args, journal, fid, fig, wall_time() - start)
     if store is not None:
         _print_cache_summary(store)
     return 0

@@ -9,23 +9,24 @@ a planned cell cross to another process: the ``--workers N`` and
 compute cells they claim from a plan built elsewhere.
 
 :func:`run_cells` is the callable batch entry point behind
-``repro-serve``'s simulation lane: a list of :class:`CellRequest` in, a
-list of :class:`CellResult` out, one cell at a time.
+``repro-serve``'s simulation lane: a list of
+:class:`~repro.experiments.runner.PlannedCell` in, a list of
+:class:`CellResult` out, one runner call per figure point.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.strategies.base import Strategy
 from repro.core.strategies.registry import make_strategy
-from repro.experiments.runner import PlatformFactory, StrategyFactory
+from repro.experiments.runner import PlannedCell, average_normalized_comm_group
 from repro.platform.platform import Platform
 from repro.store.cache import ResultStore
-from repro.store.cells import replicate_cell_key
+from repro.store.fingerprint import fingerprint
 from repro.platform.speeds import (
     SCENARIO_NAMES,
     SpeedModel,
@@ -33,12 +34,10 @@ from repro.platform.speeds import (
     make_scenario,
     uniform_speeds,
 )
-from repro.utils.rng import SeedLike
 from repro.utils.stats import Summary
 from repro.utils.validation import check_positive_int, check_speeds
 
 __all__ = [
-    "CellRequest",
     "CellResult",
     "FixedPlatformSpec",
     "HeterogeneityPlatformSpec",
@@ -219,55 +218,8 @@ def resolve_workers(workers: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class CellRequest:
-    """One replicate cell, described as data, for :func:`run_cells`.
-
-    The request carries exactly the inputs of a
-    :func:`~repro.experiments.runner.average_normalized_comm` call —
-    factories, problem size, repetition count and seed — so a batch of
-    heterogeneous cells (different strategies, platforms and sizes) can be
-    submitted through one entry point.  ``key()`` exposes the cell's cache
-    key, which is what lets callers (the serve queue, sweep planners)
-    deduplicate requests before computing anything.
-    """
-
-    __slots__ = ("strategy_factory", "platform_factory", "n", "reps", "seed")
-
-    def __init__(
-        self,
-        strategy_factory: StrategyFactory,
-        platform_factory: PlatformFactory,
-        n: int,
-        reps: int,
-        *,
-        seed: SeedLike = 0,
-    ) -> None:
-        self.strategy_factory = strategy_factory
-        self.platform_factory = platform_factory
-        self.n = check_positive_int("n", n)
-        self.reps = check_positive_int("reps", reps)
-        self.seed = seed
-
-    def key(self, *, metrics: bool = False) -> Optional[Dict[str, Any]]:
-        """The cell's cache key (``None`` when any input is uncacheable)."""
-        return replicate_cell_key(
-            strategy_factory=self.strategy_factory,
-            platform_factory=self.platform_factory,
-            n=self.n,
-            reps=self.reps,
-            seed=self.seed,
-            metrics=metrics,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CellRequest({self.strategy_factory!r}, {self.platform_factory!r}, "
-            f"n={self.n}, reps={self.reps}, seed={self.seed!r})"
-        )
-
-
 class CellResult:
-    """Outcome of one :class:`CellRequest`: a summary or an error string.
+    """Outcome of one cell of :func:`run_cells`: a summary or an error string.
 
     Batch callers need per-cell fault isolation — one malformed cell must
     not void its batch siblings' work — so failures are captured here
@@ -292,38 +244,54 @@ class CellResult:
 
 
 def run_cells(
-    requests: Sequence[CellRequest],
+    cells: Sequence[PlannedCell],
     *,
     cache: Optional[ResultStore] = None,
 ) -> List[CellResult]:
     """Run a batch of replicate cells through the replicate runner.
 
     The callable batch entry point behind ``repro-serve``'s simulation
-    lane: each request goes through
-    :func:`~repro.experiments.runner.average_normalized_comm` with the
-    shared *cache* (hits load, misses compute and write back) and the
-    results come back **in request order**.  A failing cell yields a
-    :class:`CellResult` carrying the error message instead of aborting the
-    batch — the caller decides whether a cell failure is fatal.
+    lane.  The batch is grouped by figure point — cells whose keys agree
+    on everything but the strategy: platform, ``n``, reps and seed; an
+    uncacheable cell is a point of its own — and each point is one
+    :func:`~repro.experiments.runner.average_normalized_comm_group` call
+    with the shared *cache* (hits load, misses compute and write back),
+    so a point's vector-kernel cells share one
+    :func:`~repro.simulator.batch.simulate_sweep`.  Results come back
+    **in request order**.  A failing cell yields a :class:`CellResult`
+    carrying the error message instead of aborting the batch: when a
+    point's call raises, its cells are retried as one-member batches, so
+    only the failing cells carry an error.
 
     The batch runs sequentially in the calling thread, so a thread-pool
     caller gets one OS thread per *batch*, not per cell.
     """
-    from repro.experiments.runner import average_normalized_comm
-
-    results: List[CellResult] = []
-    for request in requests:
+    points: Dict[Union[int, str], List[int]] = {}
+    for idx, cell in enumerate(cells):
+        point: Union[int, str] = idx
+        if cell.key is not None:
+            point = fingerprint({k: v for k, v in cell.key.items() if k != "strategy"})
+        points.setdefault(point, []).append(idx)
+    results: Dict[int, CellResult] = {}
+    for members in points.values():
+        first = cells[members[0]]
         try:
-            summary = average_normalized_comm(
-                request.strategy_factory,
-                request.platform_factory,
-                request.n,
-                request.reps,
-                seed=request.seed,
+            summaries = average_normalized_comm_group(
+                [cells[i].strategy_factory for i in members],
+                first.platform_factory,
+                first.n,
+                first.reps,
+                seed=first.seed,
                 cache=cache,
             )
         except Exception as exc:
-            results.append(CellResult(None, f"{type(exc).__name__}: {exc}"))
+            if len(members) == 1:
+                results[members[0]] = CellResult(None, f"{type(exc).__name__}: {exc}")
+                continue
+            # One level of retry: a one-member batch never comes back here.
+            for i in members:
+                results[i] = run_cells([cells[i]], cache=cache)[0]
         else:
-            results.append(CellResult(summary))
-    return results
+            for i, summary in zip(members, summaries):
+                results[i] = CellResult(summary)
+    return [results[i] for i in range(len(cells))]

@@ -25,10 +25,11 @@ from repro.platform.platform import Platform
 from repro.platform.speeds import SpeedModel, StaticSpeedModel
 from repro.simulator.batch import simulate_batch, simulate_sweep, sweep_group_key
 from repro.store.cache import ResultStore
-from repro.store.cells import load_cell, replicate_cell_key, save_cell
+from repro.store.cells import Snapshot, load_cell, replicate_cell_key, save_cell
 from repro.store.fingerprint import fingerprint
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.stats import RunningStats, Summary
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "average_normalized_comm",
@@ -49,13 +50,17 @@ StrategyFactory = Callable[[], Strategy]
 
 @dataclass(frozen=True)
 class PlannedCell:
-    """One replicate cell recorded by :func:`collect_planned_cells`.
+    """One replicate cell, described as data.
 
     Carries everything needed to compute the cell later in any process —
     the (picklable) factories and scalar parameters — plus the cell's
     store key and fingerprint when the cell is cacheable (``None`` for
     uncacheable inputs, which planning skips over and the assembling run
-    computes inline).
+    computes inline).  :func:`collect_planned_cells` records these cells,
+    the claims drainers compute them, and ``repro-serve`` queues them
+    (:class:`~repro.serve.protocol.CellSpec`) and runs them in batches
+    (:func:`~repro.experiments.parallel.run_cells`).  Build one with
+    :meth:`of`.
     """
 
     strategy_factory: StrategyFactory
@@ -66,14 +71,51 @@ class PlannedCell:
     key: Optional[Dict[str, Any]]
     fingerprint: Optional[str]
 
+    @classmethod
+    def of(
+        cls,
+        strategy_factory: StrategyFactory,
+        platform_factory: PlatformFactory,
+        n: int,
+        reps: int,
+        *,
+        seed: SeedLike = 0,
+        metrics: bool = False,
+    ) -> "PlannedCell":
+        """Validate, key and fingerprint one cell.
+
+        *n* and *reps* must be positive integers; *metrics* is whether the
+        cell collects per-repetition sink snapshots (a runner call with a
+        sink), which its store key records.
+        """
+        n = check_positive_int("n", n)
+        reps = check_positive_int("reps", reps)
+        key = replicate_cell_key(
+            strategy_factory=strategy_factory,
+            platform_factory=platform_factory,
+            n=n,
+            reps=reps,
+            seed=seed,
+            metrics=metrics,
+        )
+        return cls(
+            strategy_factory,
+            platform_factory,
+            n,
+            reps,
+            seed,
+            key,
+            None if key is None else fingerprint(key),
+        )
+
 
 #: A unit of planned work: the cells one
 #: :func:`average_normalized_comm_group` call computes together (a figure
 #: point's vector-kernel cells), or a single cell.
 PlannedUnit = Tuple[PlannedCell, ...]
 
-#: When set, :func:`average_normalized_comm` records cells instead of
-#: computing them.  Context-local so a planner pass can never leak into
+#: When set, :func:`average_normalized_comm_group` records cells instead
+#: of computing them.  Context-local so a planner pass can never leak into
 #: unrelated threads or tasks.
 _PLAN_BUCKET: "contextvars.ContextVar[Optional[List[PlannedUnit]]]" = contextvars.ContextVar(
     "repro_plan_bucket", default=None
@@ -89,10 +131,10 @@ _PLAN_PLACEHOLDER = Summary(n=1, mean=1.0, std=0.0, min=1.0, max=1.0)
 def collect_planned_cells() -> Iterator[List[PlannedUnit]]:
     """Record the replicate cells a figure *would* compute, without computing.
 
-    Inside the context every :func:`average_normalized_comm` call appends
-    a one-cell :data:`PlannedUnit` to the yielded list, and every group of
-    :func:`average_normalized_comm_group` appends one unit holding all its
-    members; both return placeholder summaries.
+    Inside the context every :func:`average_normalized_comm_group` call
+    (and so every :func:`average_normalized_comm` call, its one-member
+    case) appends one :data:`PlannedUnit` per unit of cells it would
+    compute together and returns placeholder summaries.
     Running a figure generator under this context is the planning pass of
     the claims transport (:mod:`repro.experiments.external`): because the
     generators are deterministic in (figure, scale, seed), every worker
@@ -111,73 +153,6 @@ def _unpack(made: "Platform | tuple[Platform, SpeedModel]") -> "tuple[Platform, 
         platform, model = made
         return platform, model
     return made, None
-
-
-def _batch_outcomes(
-    generators: Sequence[np.random.Generator],
-    strategy_factory: StrategyFactory,
-    platform_factory: PlatformFactory,
-    n: int,
-    collect_metrics: bool,
-) -> "List[tuple[float, Optional[Dict[str, Any]]]]":
-    """Run one replicate per generator through :func:`simulate_batch`.
-
-    Each stream draws its platform first, then simulates — the order one
-    scalar :func:`~repro.simulator.simulate` call per replicate would
-    consume it in — so outcomes (values and metric snapshots alike) are
-    bit-identical to that scalar loop, whichever engine
-    :func:`~repro.simulator.batch.fallback_reason` selects.
-    """
-    platforms: List[Platform] = []
-    models: List[Optional[SpeedModel]] = []
-    for generator in generators:
-        platform, model = _unpack(platform_factory(generator))
-        platforms.append(platform)
-        models.append(model)
-    sinks: Optional[List[RecordingSink]] = (
-        [RecordingSink() for _ in generators] if collect_metrics else None
-    )
-    results = simulate_batch(
-        strategy_factory,
-        platforms,
-        rngs=list(generators),
-        speed_models=models,
-        sinks=sinks,
-    )
-    kernel = strategy_factory().kernel
-    outcomes: List[tuple[float, Optional[Dict[str, Any]]]] = []
-    for idx, result in enumerate(results):
-        lb = lower_bound(kernel, platforms[idx].relative_speeds, n)
-        snapshot = sinks[idx].snapshot() if sinks is not None else None
-        outcomes.append((result.normalized(lb), snapshot))
-    return outcomes
-
-
-def _planned_cell(
-    strategy_factory: StrategyFactory,
-    platform_factory: PlatformFactory,
-    n: int,
-    reps: int,
-    seed: SeedLike,
-    metrics: bool,
-) -> PlannedCell:
-    key = replicate_cell_key(
-        strategy_factory=strategy_factory,
-        platform_factory=platform_factory,
-        n=n,
-        reps=reps,
-        seed=seed,
-        metrics=metrics,
-    )
-    return PlannedCell(
-        strategy_factory=strategy_factory,
-        platform_factory=platform_factory,
-        n=n,
-        reps=reps,
-        seed=seed,
-        key=key,
-        fingerprint=None if key is None else fingerprint(key),
-    )
 
 
 def average_normalized_comm(
@@ -214,46 +189,12 @@ def average_normalized_comm(
     which takes a vector kernel when the strategy's exact type has one and
     otherwise runs one scalar :func:`~repro.simulator.simulate` per
     replicate; both are bit-identical to the scalar oracle, so the engine
-    changes runtime only.
+    changes runtime only.  This is the one-member figure point of
+    :func:`average_normalized_comm_group`.
     """
-    if reps <= 0:
-        raise ValueError(f"reps must be positive, got {reps}")
-    bucket = _PLAN_BUCKET.get()
-    if bucket is not None:
-        bucket.append(
-            (_planned_cell(strategy_factory, platform_factory, n, reps, seed, sink is not None),)
-        )
-        return _PLAN_PLACEHOLDER
-    key = None
-    if cache is not None:
-        key = replicate_cell_key(
-            strategy_factory=strategy_factory,
-            platform_factory=platform_factory,
-            n=n,
-            reps=reps,
-            seed=seed,
-            metrics=sink is not None,
-        )
-        if key is not None:
-            cached = load_cell(cache, key, sink=sink)
-            if cached is not None:
-                return cached
-    snapshots: Optional[List[Dict[str, Any]]] = (
-        [] if (key is not None and sink is not None) else None
-    )
-    stats = RunningStats()
-    for value, snapshot in _batch_outcomes(
-        spawn_rngs(seed, reps), strategy_factory, platform_factory, n, collect_metrics=sink is not None
-    ):
-        stats.add(value)
-        if sink is not None and snapshot is not None:
-            sink.absorb_snapshot(snapshot)
-            if snapshots is not None:
-                snapshots.append(snapshot)
-    summary = stats.summary()
-    if cache is not None and key is not None:
-        save_cell(cache, key, summary, snapshots)
-    return summary
+    return average_normalized_comm_group(
+        [strategy_factory], platform_factory, n, reps, seed=seed, sink=sink, cache=cache
+    )[0]
 
 
 def average_normalized_comm_group(
@@ -269,146 +210,167 @@ def average_normalized_comm_group(
     """One figure point: ``[average_normalized_comm(f, ...) for f in strategy_factories]``.
 
     Returns exactly what that loop returns, with the same cache keys and
-    one store probe per cell, but computes the point's missing
-    vector-kernel cells — the cells whose strategies share a
-    :func:`repro.simulator.batch.sweep_group_key`: every Random*,
+    one store probe per cell, but computes the cells in *units*: the
+    cells whose strategies share a
+    :func:`repro.simulator.batch.sweep_group_key` — every Random*,
     Sorted*, MapReduce*, Dynamic* and Dynamic*2Phases cell of one kernel
-    and ``n`` — in one :func:`repro.simulator.batch.simulate_sweep` call,
-    which draws the platforms once and shares their pop schedules and
-    phase-1 lockstep.  Every computed cell is stored under its own key
-    once the group finishes.  Cells outside a group go through
-    :func:`average_normalized_comm` as they are, in order.
+    and ``n`` — form one unit, every other cell is a unit of its own.
+    With a *sink* or a non-integer seed (a generator or seed sequence
+    advances between cells) every cell is its own unit.
 
-    The whole point falls back to that per-cell loop with a *sink* or a
-    non-integer seed (a generator or seed sequence advances between
-    cells); a group whose platform factory
-    yields a non-static speed model computes its cells one by one.  A
-    cell repeating an earlier cell's key is probed after the group is
+    Units run in the order of their first member.  A unit probes the
+    store for each member, computes the missing ones in one go — one
+    :func:`repro.simulator.batch.simulate_sweep` call for several
+    members, which draws the platforms once and shares their pop
+    schedules and phase-1 lockstep; :func:`repro.simulator.simulate_batch`
+    for one — then folds their snapshots into *sink* in order and stores
+    each under its own key.  A unit whose platform factory yields a
+    non-static speed model computes its members one by one.  A member
+    repeating an earlier member's key is probed after the unit is
     stored, so even the store's hit and put counts match the loop.
 
-    Under :func:`collect_planned_cells` each group of two or more members
-    is recorded as one :data:`PlannedUnit` (at its first member's
-    position) and every other cell as a unit of its own, so a drainer
-    can compute the members it claims in one call to this function.
+    Under :func:`collect_planned_cells` each unit is recorded as one
+    :data:`PlannedUnit`, so a drainer can compute the members it claims
+    in one call to this function.
     """
     if reps <= 0:
         raise ValueError(f"reps must be positive, got {reps}")
-
-    def one(factory: StrategyFactory) -> Summary:
-        return average_normalized_comm(
-            factory,
-            platform_factory,
-            n,
-            reps,
-            seed=seed,
-            sink=sink,
-            cache=cache,
-        )
-
-    integer_seed = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if sink is not None or not integer_seed:
-        return [one(factory) for factory in strategy_factories]
-    by_key: Dict[Any, List[int]] = {}
-    for idx, factory in enumerate(strategy_factories):
-        group = sweep_group_key(factory())
-        if group is not None:
-            by_key.setdefault(group, []).append(idx)
-    groups = [members for members in by_key.values() if len(members) > 1]
-    grouped = {idx for members in groups for idx in members}
+    units = _units(strategy_factories, seed, sink)
+    metrics = sink is not None
     bucket = _PLAN_BUCKET.get()
     if bucket is not None:
-        firsts = {members[0]: members for members in groups}
-        for idx, factory in enumerate(strategy_factories):
-            if idx in firsts:
-                bucket.append(
-                    tuple(
-                        _planned_cell(strategy_factories[i], platform_factory, n, reps, seed, False)
-                        for i in firsts[idx]
-                    )
-                )
-            elif idx not in grouped:
-                one(factory)
-        return [_PLAN_PLACEHOLDER] * len(strategy_factories)
-    summaries: List[Optional[Summary]] = []
-    keys: Dict[int, Dict[str, Any]] = {}
-    repeats: Dict[int, int] = {}  # member -> earlier member with its key
-    for idx, factory in enumerate(strategy_factories):
-        if idx not in grouped:
-            summaries.append(one(factory))
-            continue
-        summaries.append(None)
-        if cache is None:
-            continue
-        key = replicate_cell_key(
-            strategy_factory=factory,
-            platform_factory=platform_factory,
-            n=n,
-            reps=reps,
-            seed=seed,
-            metrics=False,
+        bucket.extend(
+            tuple(
+                PlannedCell.of(strategy_factories[i], platform_factory, n, reps, seed=seed, metrics=metrics)
+                for i in unit
+            )
+            for unit in units
         )
-        if key is None:
-            continue
-        origin = next((j for j, earlier in keys.items() if earlier == key), None)
-        keys[idx] = key
-        if origin is not None:
-            repeats[idx] = origin
-            continue
-        summaries[idx] = load_cell(cache, key)
-    for members in groups:
-        missing = [i for i in members if summaries[i] is None and i not in repeats]
-        if not missing:
-            continue
-        factories = [strategy_factories[i] for i in missing]
-        computed = _sweep_summaries(factories, platform_factory, n, reps, seed) or [
-            average_normalized_comm(factory, platform_factory, n, reps, seed=seed)
-            for factory in factories
-        ]
-        for i, summary in zip(missing, computed):
-            summaries[i] = summary
-            if i in keys and cache is not None:
-                save_cell(cache, keys[i], summary, None)
-    for i, origin in repeats.items():
-        assert cache is not None
-        summaries[i] = load_cell(cache, keys[i]) or summaries[origin]
-    done = [summary for summary in summaries if summary is not None]
-    assert len(done) == len(summaries)
-    return done
+        return [_PLAN_PLACEHOLDER] * len(strategy_factories)
+    summaries: Dict[int, Summary] = {}
+    for unit in units:
+        keys: Dict[int, Dict[str, Any]] = {}
+        repeats: Dict[int, int] = {}  # member -> earlier member with its key
+        missing: List[int] = []
+        for i in unit:
+            key = None
+            if cache is not None:
+                key = replicate_cell_key(
+                    strategy_factory=strategy_factories[i],
+                    platform_factory=platform_factory,
+                    n=n,
+                    reps=reps,
+                    seed=seed,
+                    metrics=metrics,
+                )
+            if cache is None or key is None:
+                missing.append(i)
+                continue
+            origin = next((j for j, earlier in keys.items() if earlier == key), None)
+            keys[i] = key
+            if origin is not None:
+                repeats[i] = origin
+                continue
+            cached = load_cell(cache, key, sink=sink)
+            if cached is None:
+                missing.append(i)
+            else:
+                summaries[i] = cached
+        if missing:
+            computed = _compute(
+                [strategy_factories[i] for i in missing], platform_factory, n, reps, seed, metrics=metrics
+            )
+            for i, (summary, snapshots) in zip(missing, computed):
+                if sink is not None and snapshots is not None:
+                    for snapshot in snapshots:
+                        sink.absorb_snapshot(snapshot)
+                summaries[i] = summary
+                if cache is not None and i in keys:
+                    save_cell(cache, keys[i], summary, snapshots)
+        for i, origin in repeats.items():
+            assert cache is not None
+            summaries[i] = load_cell(cache, keys[i], sink=sink) or summaries[origin]
+    return [summaries[i] for i in range(len(strategy_factories))]
 
 
-def _sweep_summaries(
+def _units(
+    strategy_factories: Sequence[StrategyFactory], seed: SeedLike, sink: Optional[MetricsSink]
+) -> List[List[int]]:
+    """The cells :func:`average_normalized_comm_group` computes together.
+
+    Index lists in the order of their first member: one per
+    :func:`~repro.simulator.batch.sweep_group_key`, plus one per cell
+    outside every group — or one per cell with a *sink* or a non-integer
+    seed.  A single cell builds no strategy to find out.
+    """
+    count = len(strategy_factories)
+    integer_seed = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if count == 1 or sink is not None or not integer_seed:
+        return [[i] for i in range(count)]
+    units: Dict[Any, List[int]] = {}
+    for idx, factory in enumerate(strategy_factories):
+        group = sweep_group_key(factory())
+        units.setdefault(idx if group is None else group, []).append(idx)
+    return list(units.values())
+
+
+def _compute(
     strategy_factories: Sequence[StrategyFactory],
     platform_factory: PlatformFactory,
     n: int,
     reps: int,
     seed: SeedLike,
-) -> Optional[List[Summary]]:
-    """Summaries of one group's cells from one :func:`simulate_sweep` call.
+    *,
+    metrics: bool,
+) -> "List[Tuple[Summary, Optional[List[Snapshot]]]]":
+    """Each member's summary, plus its per-repetition snapshots with *metrics*.
 
     Each replicate stream draws its platform first, then simulates — the
-    order :func:`_batch_outcomes` uses — so every summary is bit-identical
-    to the member's own cell.  ``None`` when a draw carries a non-static
-    speed model, which the sweep cannot share between members.
+    order one scalar :func:`~repro.simulator.simulate` call per replicate
+    would consume it in — so every summary (and snapshot) is bit-identical
+    to that scalar loop, whichever engine
+    :func:`~repro.simulator.batch.fallback_reason` selects.  One member
+    runs through :func:`simulate_batch`; several share the draws in one
+    :func:`simulate_sweep` call, unless a draw carries a non-static speed
+    model, which the sweep cannot share: then each member is computed on
+    its own, from freshly spawned streams.
     """
     generators = spawn_rngs(seed, reps)
     platforms: List[Platform] = []
     models: List[Optional[SpeedModel]] = []
     for generator in generators:
         platform, model = _unpack(platform_factory(generator))
-        if model is not None and type(model) is not StaticSpeedModel:
-            return None
+        if len(strategy_factories) > 1 and model is not None and type(model) is not StaticSpeedModel:
+            return [
+                _compute([factory], platform_factory, n, reps, seed, metrics=metrics)[0]
+                for factory in strategy_factories
+            ]
         platforms.append(platform)
         models.append(model)
-    results = simulate_sweep(strategy_factories, platforms, rngs=generators, speed_models=models)
+    sinks: Optional[List[RecordingSink]] = None
+    if len(strategy_factories) == 1:
+        sinks = [RecordingSink() for _ in generators] if metrics else None
+        members = [
+            simulate_batch(
+                strategy_factories[0],
+                platforms,
+                rngs=generators,
+                speed_models=models,
+                sinks=sinks,
+            )
+        ]
+    else:
+        members = simulate_sweep(strategy_factories, platforms, rngs=generators, speed_models=models)
     kernel = strategy_factories[0]().kernel
     bounds = [lower_bound(kernel, platform.relative_speeds, n) for platform in platforms]
-    summaries: List[Summary] = []
-    for member in results:
+    out: List[Tuple[Summary, Optional[List[Snapshot]]]] = []
+    for results in members:
         stats = RunningStats()
-        for result, bound in zip(member, bounds):
+        for result, bound in zip(results, bounds):
             stats.add(result.normalized(bound))
-        summaries.append(stats.summary())
-    return summaries
+        snapshots = None if sinks is None else [s.snapshot() for s in sinks]
+        out.append((stats.summary(), snapshots))
+    return out
 
 
 def mean_analysis_ratio(

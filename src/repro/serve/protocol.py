@@ -39,13 +39,13 @@ from repro.core.analysis import (
 )
 from repro.core.strategies.registry import make_strategy, strategy_names
 from repro.experiments.parallel import (
-    CellRequest,
     FixedPlatformSpec,
     HeterogeneityPlatformSpec,
     ScenarioPlatformSpec,
     StrategySpec,
     UniformPlatformSpec,
 )
+from repro.experiments.runner import PlannedCell
 from repro.platform.platform import Platform
 from repro.platform.speeds import SCENARIO_NAMES
 from repro.store.fingerprint import fingerprint
@@ -166,20 +166,21 @@ def parse_platform(raw: Any, *, max_p: int = 1024) -> PlatformSpec:
 class CellSpec:
     """One validated simulation-grid cell, canonicalized for the store.
 
-    Wraps a :class:`~repro.experiments.parallel.CellRequest` (the batch
-    runner's unit of work) plus the service-level ``priority``.  The cache
-    key is always built with ``metrics=False`` — the service never attaches
-    per-repetition sinks, so every client asking for the same cell agrees
-    on one fingerprint.
+    Wraps a :class:`~repro.experiments.runner.PlannedCell` (the batch
+    runner's unit of work, which carries the cell's key and fingerprint)
+    plus the service-level ``priority``.  The cache key is always built
+    with ``metrics=False`` — the service never attaches per-repetition
+    sinks, so every client asking for the same cell agrees on one
+    fingerprint.
     """
 
-    __slots__ = ("request", "priority", "_key", "_fingerprint")
+    __slots__ = ("planned", "priority", "_key", "_fingerprint")
 
     #: Priority bounds: higher runs earlier within the simulation lane.
     MIN_PRIORITY = 0
     MAX_PRIORITY = 9
 
-    def __init__(self, request: CellRequest, *, priority: int = 0) -> None:
+    def __init__(self, planned: PlannedCell, *, priority: int = 0) -> None:
         if isinstance(priority, bool) or not isinstance(priority, int):
             raise ProtocolError(f"priority must be an integer, got {priority!r}")
         if not self.MIN_PRIORITY <= priority <= self.MAX_PRIORITY:
@@ -187,13 +188,12 @@ class CellSpec:
                 f"priority must lie in [{self.MIN_PRIORITY}, {self.MAX_PRIORITY}], "
                 f"got {priority}"
             )
-        self.request = request
-        self.priority = priority
-        key = request.key(metrics=False)
-        if key is None:  # pragma: no cover - specs above always tokenize
+        if planned.key is None or planned.fingerprint is None:  # pragma: no cover - specs tokenize
             raise ProtocolError("cell is not cacheable; refusing to serve it")
-        self._key: Dict[str, Any] = key
-        self._fingerprint = fingerprint(key)
+        self.planned = planned
+        self.priority = priority
+        self._key: Dict[str, Any] = planned.key
+        self._fingerprint: str = planned.fingerprint
 
     @classmethod
     def parse(
@@ -238,10 +238,10 @@ class CellSpec:
             # that errors in the engine.
             make_strategy(str(name), n, **kwargs)
             strategy = StrategySpec(str(name), n, **kwargs)
-            request = CellRequest(strategy, platform, n, reps, seed=seed)
+            planned = PlannedCell.of(strategy, platform, n, reps, seed=seed)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"invalid cell: {exc}") from exc
-        return cls(request, priority=priority)
+        return cls(planned, priority=priority)
 
     def key(self) -> Dict[str, Any]:
         """The cell's canonical cache key (``repro.store.cell/1`` schema)."""

@@ -19,7 +19,9 @@ Every simulation cell a client POSTs flows through one
    ``(-priority, arrival)`` order and run them through
    :func:`repro.experiments.parallel.run_cells` on the executor with the
    shared store as cache, so results are written back through the same
-   content-addressed path every other runner uses.
+   content-addressed path every other runner uses.  A batch makes one
+   runner call per figure point it holds, so a point's vector-kernel
+   cells share one engine sweep.
 
 When the lane is given a :class:`~repro.store.claims.ClaimRegistry`,
 coalescing extends **across processes**: a miss claims its fingerprint
@@ -48,6 +50,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import CellResult, run_cells
+from repro.experiments.runner import PlannedCell
 from repro.serve.protocol import CellSpec
 from repro.serve.telemetry import ServiceSink
 from repro.store.cache import ResultStore
@@ -356,12 +359,12 @@ class SimulationLane:
             batch.append(heapq.heappop(self._heap)[2])
         return batch
 
-    def _run_batch(self, requests: List[Any], claimed_fps: List[str]) -> List[CellResult]:
+    def _run_batch(self, cells: List[PlannedCell], claimed_fps: List[str]) -> List[CellResult]:
         """One engine batch on the executor, heartbeating claimed cells."""
         if self._claims is not None and claimed_fps:
             with self._claims.ticker(claimed_fps):
-                return run_cells(requests, cache=self._store)
-        return run_cells(requests, cache=self._store)
+                return run_cells(cells, cache=self._store)
+        return run_cells(cells, cache=self._store)
 
     def _finalize_claims(self, batch: List[_Job], settled: List[_Settled]) -> None:
         """Journal and release every claimed cell of a finished batch.
@@ -390,11 +393,11 @@ class SimulationLane:
             if not batch:
                 self._wakeup.clear()
                 continue
-            requests = [job.cell.request for job in batch]
+            cells = [job.cell.planned for job in batch]
             claimed_fps = [job.cell.fingerprint() for job in batch if job.claimed]
             try:
                 results = await loop.run_in_executor(
-                    self._executor, partial(self._run_batch, requests, claimed_fps)
+                    self._executor, partial(self._run_batch, cells, claimed_fps)
                 )
                 # summary_to_payload is the exact shape the store persists,
                 # so a freshly computed response is byte-identical to a later

@@ -143,10 +143,9 @@ def sweep_group_key(strategy: Strategy) -> Optional[Tuple[str, int]]:
     strategies with equal keys can share one sweep.  ``None`` for
     everything else, which only runs cell by cell.
     """
-    kernel = kernel_for(strategy)
-    if kernel is None or fallback_reason(strategy) is not None:
+    if fallback_reason(strategy) is not None:
         return None
-    return kernel.group_key(strategy)
+    return (strategy.kernel, strategy.n)
 
 
 def _per_replicate(what: str, values: Optional[Sequence[_T]], R: int) -> Sequence[Optional[_T]]:
@@ -320,7 +319,7 @@ def simulate_batch(
     per_rep = int(kernel.bytes_per_replicate(prototype, platforms[0].p))
     runs: List[KernelRun] = []
     for ctx in _contexts(platforms, generators, models, want_events, per_rep, memory_budget_bytes):
-        runs.extend(kernel.run(prototype, ctx))
+        runs.extend(kernel.run_group([prototype], ctx)[0])
     return [
         _replay_run(runs[r], prototype, platforms[r], collect_trace, sink_list[r])
         for r in range(R)

@@ -7,7 +7,7 @@ compute — same RNG consumption per replicate, same IEEE-754 operand order
 for every duration and timestamp, same heap tie-breaking — but over numpy
 arrays instead of one Python event at a time.
 
-One kernel per product (:class:`_LockstepKernel`, an outer-product and a
+One kernel per product (:class:`VectorKernel`, an outer-product and a
 matrix instance) covers all five strategies of that product.  Its
 backbone is the Dynamic* loop of Algorithms 1 and 3: replicates advance
 event by event, but *together*.  The sequential part of each event runs
@@ -34,7 +34,7 @@ call, which numpy guarantees to be stream-identical to the scalar
 per-draw calls, and the shipped blocks are boolean scatters into
 (worker, block) masks.  Members that fork at one pop share its schedule
 and draws, so one call serves every vector-kernel cell of a figure point
-(:meth:`_LockstepKernel.run_group`): the members without a phase 1 run
+(:meth:`VectorKernel.run_group`): the members without a phase 1 run
 replicate by replicate before any lockstep state exists, then one loop
 runs phase 1 for the rest and every two-phase member forks off it at its
 own threshold.
@@ -129,54 +129,6 @@ class KernelRun(NamedTuple):
     makespan: float
     n_assignments: int
     events: Optional[List[Event]]
-
-
-class VectorKernel:
-    """Base class of vectorized strategy kernels.
-
-    Subclasses implement :meth:`run` as a pure function of its arguments
-    (plus the generators' streams): no I/O, no module or class globals —
-    the A-PURE analyzer check walks every override to enforce this, since
-    the batch engine may run kernels in any process and any order.
-    """
-
-    def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
-        """Simulate one replicate per row of ``ctx.speeds`` ``(R, p)``.
-
-        *prototype* is an un-reset strategy instance used only for its
-        configuration (``n``, threshold parameters); ``ctx.generators``
-        holds one per-replicate RNG, consumed exactly as the scalar
-        engine would consume it.
-        """
-        raise NotImplementedError
-
-    def run_group(
-        self, prototypes: Sequence[Strategy], ctx: BatchContext
-    ) -> List[List[KernelRun]]:
-        """Simulate several cells over the same replicates, one list each.
-
-        Only kernels whose :meth:`group_key` is not ``None`` implement it;
-        members must share that key.
-        """
-        raise NotImplementedError
-
-    def group_key(self, prototype: Strategy) -> Optional[Tuple[str, int]]:
-        """Key of the shared lockstep *prototype* can join, or ``None``.
-
-        Prototypes with equal keys can run together through
-        :meth:`run_group`; ``None`` means the kernel runs single cells.
-        """
-        return None
-
-    def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
-        """Rough working-set bytes one replicate adds to a batch.
-
-        Only state that scales with the replicate axis counts (bitmaps,
-        knowledge buffers, sampler replays) — transient per-replicate
-        temporaries of a serial inner loop do not.  The batch engine
-        divides its memory budget by this to size replicate chunks.
-        """
-        return 1024
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +871,7 @@ class _Fork(NamedTuple):
     events: Optional[List[Event]] = None
 
 
-class _LockstepKernel(VectorKernel):
+class VectorKernel:
     """The vector kernel of one product, covering its five strategies.
 
     Phase 1 is the Dynamic* loop of Algorithms 1 and 3, R replicates at
@@ -948,16 +900,25 @@ class _LockstepKernel(VectorKernel):
     swap-remove sampler over the surviving task ids (:func:`_freeze`) and
     stay in the loop, one task per step on their member's rule, beside
     the other replicates' phase-1 events.
+
+    :meth:`run_group` is a pure function of its arguments (plus the
+    generators' streams): no I/O, no module or class globals — the A-PURE
+    analyzer check walks it and everything it calls, since the batch
+    engine may run kernels in any process and any order.
     """
 
     def __init__(self, kind: str) -> None:
         self._kind = kind
         self._dims = 2 if kind == "outer" else 3
 
-    def group_key(self, prototype: Strategy) -> Optional[Tuple[str, int]]:
-        return (self._kind, prototype.n)
-
     def bytes_per_replicate(self, prototype: Strategy, p: int) -> int:
+        """Rough working-set bytes one replicate adds to a batch.
+
+        Only state that scales with the replicate axis counts (bitmaps,
+        knowledge buffers, sampler replays) — transient per-replicate
+        temporaries of a serial inner loop do not.  The batch engine
+        divides its memory budget by this to size replicate chunks.
+        """
         # Phase 1: the bitmap, (dims, p, n + 1) int64 index buffers twice,
         # ~256 bytes of heap entry and accumulators per worker, and a
         # step's marking temporaries; a two-phase member adds its
@@ -976,9 +937,6 @@ class _LockstepKernel(VectorKernel):
         if rule is None:
             return n**3 + 48 * p * n + 256 * p + 64 * n * n
         return 9 * n**3 + 3 * p * n * n + 48 * p * n + 256 * p + 64 * n * n
-
-    def run(self, prototype: Strategy, ctx: BatchContext) -> List[KernelRun]:
-        return self.run_group([prototype], ctx)[0]
 
     def run_group(
         self, prototypes: Sequence[Strategy], ctx: BatchContext
@@ -1255,11 +1213,11 @@ _KERNELS: Dict[Type[Strategy], VectorKernel] = {
     cls: kernel
     for kernel, classes in (
         (
-            _LockstepKernel("outer"),
+            VectorKernel("outer"),
             (OuterRandom, OuterSorted, OuterMapReduce, OuterDynamic, OuterTwoPhase),
         ),
         (
-            _LockstepKernel("matrix"),
+            VectorKernel("matrix"),
             (MatrixRandom, MatrixSorted, MatrixMapReduce, MatrixDynamic, MatrixTwoPhase),
         ),
     )

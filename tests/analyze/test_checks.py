@@ -166,6 +166,14 @@ class TestStrategyPurity:
         assert "Greedy.assign" in finding.chain[0]  # hook root
         assert "_pick" in finding.chain[-2]
 
+    def test_vector_kernel_run_group_is_a_root(self, analyze_fixture):
+        findings = [f for f in analyze_fixture("bad_kernel_pure") if f.rule_id == "A-PURE"]
+        assert keys(findings) == {
+            "A-PURE:repro.simulator.vector_kernels._close_out:I/O call print",
+        }
+        (finding,) = findings
+        assert "VectorKernel.run_group" in finding.chain[0]
+
     def test_real_tree_is_purity_clean(self):
         modules = collect_modules([SRC_REPRO])
         findings = run_analysis(modules, select=["A-PURE"])

@@ -1,4 +1,4 @@
-"""The picklable cell specs, cell requests and the ``--workers`` option resolver."""
+"""The picklable cell specs, planned cells and the ``--workers`` option resolver."""
 
 import pickle
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.parallel import (
-    CellRequest,
     FixedPlatformSpec,
     HeterogeneityPlatformSpec,
     ScenarioPlatformSpec,
@@ -14,6 +13,7 @@ from repro.experiments.parallel import (
     UniformPlatformSpec,
     resolve_workers,
 )
+from repro.experiments.runner import PlannedCell
 from repro.platform.speeds import SCENARIO_NAMES
 
 
@@ -70,4 +70,4 @@ class TestDispatchHelpers:
 
     def test_reps_must_be_positive(self):
         with pytest.raises(ValueError):
-            CellRequest(OUTER, PLATFORM, 20, 0, seed=0)
+            PlannedCell.of(OUTER, PLATFORM, 20, 0, seed=0)

@@ -5,8 +5,12 @@ import threading
 
 import pytest
 
+import repro.experiments.runner as runner_module
+import repro.serve.queueing as queueing_module
+from repro.experiments.parallel import StrategySpec, UniformPlatformSpec
 from repro.serve.client import ServeClient, ServeError, ServerThread, wait_until_healthy
 from repro.serve.service import ServeConfig
+from repro.store.cells import summary_to_payload
 
 CELL = {
     "strategy": "DynamicOuter",
@@ -85,6 +89,56 @@ class TestMixedWorkloadAcceptance:
             assert derived["latency"]["simulation"]["p50"] is not None
             assert derived["latency"]["simulation"]["p99"] is not None
             assert derived["latency"]["analytical"]["p50"] is not None
+
+
+class TestFigurePointSweep:
+    """A sweep of one figure point: one engine call per lane batch."""
+
+    BETAS = (0.5, 1.0, 2.0, 3.0, 4.0)
+
+    def test_each_batch_computes_its_cells_in_one_call(self, tmp_path, monkeypatch):
+        factories = [StrategySpec("DynamicOuter2Phases", 10, beta=b) for b in self.BETAS]
+        factories.append(StrategySpec("DynamicOuter", 10))
+        expected = runner_module.average_normalized_comm_group(
+            factories, UniformPlatformSpec(4), 10, 3, seed=5
+        )
+        batches = []
+        local = threading.local()
+        real_run_cells = queueing_module.run_cells
+
+        def run_cells(cells, **kwargs):
+            local.calls = []
+            try:
+                return real_run_cells(cells, **kwargs)
+            finally:
+                batches.append((len(cells), local.calls))
+
+        def spy(kind, real):
+            def call(factories, *args, **kwargs):
+                local.calls.append((kind, len(factories) if kind == "sweep" else 1))
+                return real(factories, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(queueing_module, "run_cells", run_cells)
+        monkeypatch.setattr(runner_module, "simulate_sweep", spy("sweep", runner_module.simulate_sweep))
+        monkeypatch.setattr(runner_module, "simulate_batch", spy("batch", runner_module.simulate_batch))
+        point = {"n": 10, "reps": 3, "seed": 5, "platform": {"type": "uniform", "p": 4}}
+        cells = [
+            {"strategy": "DynamicOuter2Phases", "strategy_kwargs": {"beta": b}, **point}
+            for b in self.BETAS
+        ]
+        cells.append({"strategy": "DynamicOuter", **point})
+        with ServerThread(config(tmp_path, lane_workers=1)) as (host, port):
+            body = ServeClient(host, port).sweep(cells)
+        assert body["counts"] == {"computed": len(cells)}
+        assert sum(size for size, _ in batches) == len(cells)
+        for size, calls in batches:
+            assert calls == [("sweep", size) if size > 1 else ("batch", 1)]
+        served = [json.dumps(c["summary"], sort_keys=True) for c in body["cells"]]
+        assert served == [
+            json.dumps(summary_to_payload(s, None)["summary"], sort_keys=True) for s in expected
+        ]
 
 
 class TestQuotas:
